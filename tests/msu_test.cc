@@ -5,6 +5,7 @@
 #include "src/calliope/calliope.h"
 #include "src/msu/msu.h"
 #include "src/util/backoff.h"
+#include "src/util/rng.h"
 #include "tests/test_util.h"
 
 namespace calliope {
@@ -153,6 +154,48 @@ TEST(MsuTest, SeekChargesInternalPageReads) {
   EXPECT_GE(fx.machine->disk(0).completed(), ios_before + 1);
   fx.sim.RunFor(SimTime::Seconds(2));
   EXPECT_NEAR(stream->CurrentMediaOffset().seconds(), 3602, 3);
+}
+
+// Regression: a pause or seek that lands while a datagram is on the wire used
+// to skip the sequence-number advance, so the next datagram (the same record
+// after a resume, or the first one at the seek target) reused the number and
+// the client counted it as reordered. Seeded VCR timings hit that window.
+TEST(MsuTest, VcrOpDuringSendNeverReusesSequenceNumbers) {
+  MsuFixture fx;
+  fx.InstallCbr("movie", SimTime::Seconds(600), 0);
+  int64_t last_seq = -1;
+  int64_t reordered = 0;
+  ASSERT_TRUE(fx.client_node
+                  ->BindUdp(9000,
+                            [&](const Datagram& datagram) {
+                              auto payload = std::static_pointer_cast<const MediaDatagramPayload>(
+                                  datagram.payload);
+                              if (payload->seq <= last_seq) {
+                                ++reordered;
+                              }
+                              last_seq = std::max(last_seq, payload->seq);
+                            })
+                  .ok());
+  ASSERT_TRUE(fx.Start(fx.PlayRequest("movie", 1, 1)));
+  MsuStream* stream = fx.msu->FindStream(1);
+  ASSERT_NE(stream, nullptr);
+  fx.sim.RunFor(SimTime::Seconds(1));
+  Rng rng(1996);
+  for (int op = 0; op < 200; ++op) {
+    fx.sim.RunFor(SimTime::Micros(rng.NextInRange(1, 40000)));
+    if (op % 2 == 0) {
+      ASSERT_TRUE(stream->Pause().ok());
+      fx.sim.RunFor(SimTime::Micros(rng.NextInRange(1, 20000)));
+      ASSERT_TRUE(stream->Resume().ok());
+    } else {
+      CoResult<Status> sought;
+      Collect(stream->SeekTo(stream->CurrentMediaOffset() + SimTime::Seconds(1)), &sought);
+      ASSERT_TRUE(RunUntil(fx.sim, [&] { return sought.done(); }, SimTime::Seconds(5)));
+      ASSERT_TRUE(sought.value->ok());
+    }
+  }
+  EXPECT_GT(last_seq, 100);
+  EXPECT_EQ(reordered, 0);
 }
 
 TEST(MsuTest, QuitReleasesSlotAndBuffers) {

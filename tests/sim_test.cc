@@ -70,7 +70,8 @@ TEST(SimulatorTest, StaleTokenCancelDoesNotKillSlotReuser) {
   EventToken stale = sim.ScheduleCancelableAt(SimTime::Millis(1), [&] { first_fired = true; });
   sim.Run();
   EXPECT_TRUE(first_fired);
-  EventToken reuser = sim.ScheduleCancelableAt(SimTime::Millis(2), [&] { second_fired = true; });
+  [[maybe_unused]] EventToken reuser =
+      sim.ScheduleCancelableAt(SimTime::Millis(2), [&] { second_fired = true; });
   stale.Cancel();
   sim.Run();
   EXPECT_TRUE(second_fired);
