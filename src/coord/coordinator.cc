@@ -233,7 +233,7 @@ Co<MessageBody> Coordinator::Dispatch(TcpConn* conn, MessageArg request) {
   if (const auto* m = std::get_if<ReplAppendRequest>(&body)) {
     co_return co_await HandleReplAppend(conn, *m);
   }
-  if (params_.ha.enabled && role_ != HaRole::kPrimary) {
+  if (!is_primary()) {
     // Fencing: a standby serves nobody; callers redial the pair and find
     // whichever coordinator currently holds the primaryship.
     co_return MessageBody{SimpleResponse{false, "not primary"}};
@@ -309,23 +309,13 @@ void Coordinator::Crash() {
                     std::to_string(active_streams_.size()) + " streams forgotten");
   }
   node_->SetDown(true);
-  msus_.clear();
-  sessions_.clear();
-  conn_sessions_.clear();
-  active_streams_.clear();
-  groups_.clear();
-  group_requests_.clear();
-  pending_.clear();
+  ResetVolatileState();  // in-flight copies are orphaned; MSUs finish or abort alone
   expiry_token_.Cancel();
   expiry_armed_at_ = SimTime();
   shed_active_ = false;
   rebalance_paused_ = false;
-  shared_groups_.clear();
-  share_batches_.clear();
   popularity_.clear();
   popularity_bumped_.clear();
-  repl_ops_.clear();  // in-flight copies are orphaned; MSUs finish or abort alone
-  ledger_ = ResourceLedger();
   // HA volatile state dies with the process.
   repl_conn_ = nullptr;
   repl_in_conn_ = nullptr;
@@ -400,7 +390,7 @@ void Coordinator::OnConnClosed(TcpConn* conn) {
     }
     return;
   }
-  if (params_.ha.enabled && role_ != HaRole::kPrimary) {
+  if (!is_primary()) {
     return;  // a standby tracks no live MSU or client connections
   }
   // A broken MSU connection marks the MSU unavailable (§2.2 fault tolerance).
@@ -445,7 +435,7 @@ Co<MessageBody> Coordinator::HandleOpenSession(TcpConn* conn, const OpenSessionR
       it->second.conn = conn;
       conn_sessions_[conn] = it->second.id;
       OpenSessionResponse resumed{true, "", it->second.id};
-      resumed.epoch = params_.ha.enabled ? epoch_ : 0;
+      resumed.epoch = wire_epoch();
       co_return MessageBody{std::move(resumed)};
     }
   }
@@ -463,7 +453,7 @@ Co<MessageBody> Coordinator::HandleOpenSession(TcpConn* conn, const OpenSessionR
   opened.admin = (*customer)->admin;
   LogRecord(ReplRecord{std::move(opened)});
   OpenSessionResponse response{true, "", id};
-  response.epoch = params_.ha.enabled ? epoch_ : 0;
+  response.epoch = wire_epoch();
   co_return MessageBody{std::move(response)};
 }
 
@@ -720,7 +710,7 @@ Co<Status> Coordinator::TryStartGroup(const PendingRequest& request) {
   for (size_t i = 0; i < components.size(); ++i) {
     const Component& component = components[i];
     MsuStartStream start;
-    start.epoch = params_.ha.enabled ? epoch_ : 0;
+    start.epoch = wire_epoch();
     start.group = request.group;
     start.stream = next_stream_++;
     start.file = !request.record && !placement->files[i].empty() ? placement->files[i]
@@ -1016,7 +1006,7 @@ Co<Status> Coordinator::StartCacheAttach(PendingRequest request, SharedGroup tar
   ResourceLedger::Txn txn = std::move(reservation).value();
 
   MsuStartStream start;
-  start.epoch = params_.ha.enabled ? epoch_ : 0;
+  start.epoch = wire_epoch();
   start.group = request.group;
   start.stream = next_stream_++;
   start.file = target.file;
@@ -1159,7 +1149,7 @@ Co<void> Coordinator::StartSharedGroup(std::string content,
   ResourceLedger::Txn txn = std::move(reservation).value();
 
   MsuStartStream start;
-  start.epoch = params_.ha.enabled ? epoch_ : 0;
+  start.epoch = wire_epoch();
   const GroupId delivery_group = next_group_++;
   start.group = delivery_group;
   start.stream = next_stream_++;
@@ -1317,7 +1307,7 @@ Task Coordinator::RebalanceLoop() {
     if (crashed_) {
       break;
     }
-    if (params_.ha.enabled && role_ != HaRole::kPrimary) {
+    if (!is_primary()) {
       continue;  // the standby mirrors in-flight ops but never plans
     }
     if (rebalance_ticks_ != nullptr) {
@@ -1327,13 +1317,13 @@ Task Coordinator::RebalanceLoop() {
         params_.rebalance.max_concurrent_copies - static_cast<int>(repl_ops_.size());
     RebalancePlan plan = PlanRebalance(BuildRebalanceSnapshot(), params_.rebalance, slots);
     for (const DemoteAction& demote : plan.demotes) {
-      if (crashed_ || (params_.ha.enabled && role_ != HaRole::kPrimary)) {
+      if (crashed_ || !is_primary()) {
         break;
       }
       co_await ExecuteDemotion(demote);
     }
     for (const CopyAction& copy : plan.copies) {
-      if (crashed_ || (params_.ha.enabled && role_ != HaRole::kPrimary)) {
+      if (crashed_ || !is_primary()) {
         break;
       }
       co_await StartReplication(copy);
@@ -1418,14 +1408,14 @@ Co<void> Coordinator::StartReplication(CopyAction action) {
   prepare.op = op_id;
   prepare.file = action.source_file;
   prepare.rate = rate;
-  prepare.epoch = params_.ha.enabled ? epoch_ : 0;
+  prepare.epoch = wire_epoch();
   auto prepared = co_await source_it->second.conn->Call(MessageBody{std::move(prepare)});
   const auto* prep =
       prepared.ok() ? std::get_if<MsuPrepareCopyResponse>(&prepared->body) : nullptr;
   if (prep == nullptr || !prep->ok) {
     co_return;
   }
-  if (crashed_ || (params_.ha.enabled && role_ != HaRole::kPrimary)) {
+  if (crashed_ || !is_primary()) {
     SendAbortCopy(action.source_msu, op_id);  // release the source's slot
     co_return;
   }
@@ -1453,7 +1443,7 @@ Co<void> Coordinator::StartReplication(CopyAction action) {
   begin.page_count = prep->page_count;
   begin.estimated_size = op.space;
   begin.disk_hint = op.target_disk;
-  begin.epoch = params_.ha.enabled ? epoch_ : 0;
+  begin.epoch = wire_epoch();
   auto target_it = msus_.find(action.target_msu);
   Result<Envelope> began = UnavailableError("target msu went down");
   if (target_it != msus_.end() && target_it->second.conn != nullptr &&
@@ -1461,8 +1451,7 @@ Co<void> Coordinator::StartReplication(CopyAction action) {
     began = co_await target_it->second.conn->Call(MessageBody{std::move(begin)});
   }
   const auto* ack = began.ok() ? std::get_if<SimpleResponse>(&began->body) : nullptr;
-  if (crashed_ || (params_.ha.enabled && role_ != HaRole::kPrimary) || ack == nullptr ||
-      !ack->ok) {
+  if (crashed_ || !is_primary() || ack == nullptr || !ack->ok) {
     SendAbortCopy(action.source_msu, op_id);
     SendAbortCopy(action.target_msu, op_id);
     co_return;
@@ -1621,7 +1610,7 @@ Task Coordinator::SendAbortCopy(std::string msu_node, int64_t op_id) {
   }
   MsuAbortCopy abort;
   abort.op = op_id;
-  abort.epoch = params_.ha.enabled ? epoch_ : 0;
+  abort.epoch = wire_epoch();
   auto response = co_await it->second.conn->Call(MessageBody{std::move(abort)});
   (void)response;
 }
@@ -1632,7 +1621,7 @@ Task Coordinator::SendDeleteFile(std::string msu_node, std::string file) {
     co_return;
   }
   MsuDeleteFile erase_file{std::move(file)};
-  erase_file.epoch = params_.ha.enabled ? epoch_ : 0;
+  erase_file.epoch = wire_epoch();
   auto response = co_await it->second.conn->Call(MessageBody{std::move(erase_file)});
   (void)response;
 }
@@ -1742,7 +1731,7 @@ Co<MessageBody> Coordinator::HandleDelete(TcpConn* conn, const DeleteContentRequ
            {(*item)->file_name, (*item)->fast_forward_file, (*item)->fast_backward_file}) {
         if (!file.empty()) {
           MsuDeleteFile erase_file{file};
-          erase_file.epoch = params_.ha.enabled ? epoch_ : 0;
+          erase_file.epoch = wire_epoch();
           co_await msu_it->second.conn->Call(MessageBody{std::move(erase_file)});
         }
       }
@@ -1808,7 +1797,7 @@ Co<MessageBody> Coordinator::HandleMsuRegister(TcpConn* conn, const MsuRegisterR
                         request.nic_bandwidth, request.cache_memory);
   }
   MsuRegisterResponse ack{true, ""};
-  ack.epoch = params_.ha.enabled ? epoch_ : 0;
+  ack.epoch = wire_epoch();
   if (params_.ha.enabled) {
     // Reconciliation sweep: streams the MSU still serves that we do not know
     // are admissions lost in the failover window — the MSU quits them. (A
@@ -2072,7 +2061,7 @@ Task Coordinator::NotifyRequestFailed(PendingRequest request, Status error) {
     co_return;
   }
   PendingRequestFailed failed{request.group, error.ToString()};
-  failed.epoch = params_.ha.enabled ? epoch_ : 0;
+  failed.epoch = wire_epoch();
   Envelope envelope;
   envelope.body = MessageBody{std::move(failed)};
   const Status sent = co_await (*session)->conn->Send(std::move(envelope));
@@ -2240,7 +2229,7 @@ void Coordinator::ScheduleExpirySweep() {
 
 void Coordinator::RunExpirySweep() {
   expiry_armed_at_ = SimTime();
-  if (crashed_ || (params_.ha.enabled && role_ != HaRole::kPrimary)) {
+  if (crashed_ || !is_primary()) {
     return;  // re-armed on restart/takeover
   }
   const SimTime now = machine_->sim().Now();
@@ -2290,7 +2279,7 @@ Task Coordinator::ShedGovernorLoop() {
     if (crashed_) {
       break;
     }
-    if (params_.ha.enabled && role_ != HaRole::kPrimary) {
+    if (!is_primary()) {
       continue;  // only the primary owns the queue
     }
     const bool overloaded = overload_probe_ != nullptr && overload_probe_();
@@ -2352,7 +2341,7 @@ Task Coordinator::ShedGovernorLoop() {
         LogRecord(ReplRecord{std::move(popped)});
         --budget;
         co_await ShedRequest(std::move(request));
-        if (crashed_ || (params_.ha.enabled && role_ != HaRole::kPrimary)) {
+        if (crashed_ || !is_primary()) {
           break;
         }
       }

@@ -402,6 +402,9 @@ class Coordinator {
   // Bumps the lost-requests counter for a queued request dropped for good.
   void CountRequestLost(int64_t count = 1);
 
+  // Epoch stamped on data-path messages and session replies (zero without HA).
+  int64_t wire_epoch() const { return params_.ha.enabled ? epoch_ : 0; }
+
   // ---- HA / log shipping (definitions in replication.cc) ----
   // Called from the constructor when params_.ha.enabled.
   void StartHa();
@@ -416,7 +419,8 @@ class Coordinator {
   Co<MessageBody> HandleReplAppend(TcpConn* conn, const ReplAppendRequest& request);
   void ApplyReplRecord(const ReplRecord& record);
   std::vector<ReplRecord> BuildSnapshotRecords() const;
-  // Clears all replicated scheduling state (not the catalog, not counters).
+  // Clears all replicated scheduling state (not the catalog, not counters);
+  // the one reset Crash, StepDown and a snapshot install share.
   void ResetVolatileState();
   // Removes `group`'s parked request from the in-flight retry list (its
   // outcome record arrived).

@@ -547,6 +547,8 @@ void Coordinator::ResetVolatileState() {
   group_requests_.clear();
   pending_.clear();
   repl_in_flight_.clear();
+  shared_groups_.clear();
+  share_batches_.clear();
   repl_ops_.clear();
   ledger_ = ResourceLedger();
 }
