@@ -1251,15 +1251,12 @@ Task Msu::ProgressReporter() {
           stream->state() == MsuStream::State::kStopped) {
         continue;
       }
-      if (stream->shared()) {
-        // Report each member under its own stream id: failover resumes the
-        // members individually as unique streams, never the delivery stream.
-        for (const SharedMemberState& member : stream->members()) {
-          report.entries.push_back(
-              StreamProgressReport::Entry{member.stream, stream->CurrentMediaOffset()});
-        }
-      } else {
-        report.entries.push_back(StreamProgressReport::Entry{id, stream->CurrentMediaOffset()});
+      // Report each member under its own stream id (a solo stream's member
+      // carries the stream's id): failover resumes members individually as
+      // unique streams, never a shared delivery stream.
+      for (const SharedMemberState& member : stream->members()) {
+        report.entries.push_back(
+            StreamProgressReport::Entry{member.stream, stream->CurrentMediaOffset()});
       }
     }
     if (report.entries.empty()) {

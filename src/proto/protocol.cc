@@ -41,10 +41,8 @@ void RtpModule::OnRecordPacket(const MediaPacket& packet, SimTime arrival_offset
   }
 }
 
-ProtocolModule::PlaybackRoute RtpModule::RoutePlayback(const MediaPacket& packet) const {
-  PlaybackRoute route;
-  route.to_control_port = (packet.flags & kPacketControl) != 0;
-  return route;
+bool RtpModule::PlaysToControlPort(const MediaPacket& packet) const {
+  return (packet.flags & kPacketControl) != 0;
 }
 
 SimTime RawCbrModule::RecordDeliveryOffset(const MediaPacket& packet, SimTime arrival_offset) {

@@ -47,15 +47,9 @@ class ProtocolModule {
 
   // --- playback-side extension points -------------------------------------
 
-  struct PlaybackRoute {
-    bool send = true;
-    bool to_control_port = false;
-  };
-  // Routes a stored packet on replay: control messages go back out through
-  // the protocol's control port, data through the data port.
-  virtual PlaybackRoute RoutePlayback(const MediaPacket& packet) const {
-    return PlaybackRoute{};
-  }
+  // Routes a stored packet on replay: true sends it back out through the
+  // protocol's control port, false through the data port.
+  virtual bool PlaysToControlPort(const MediaPacket& packet) const { return false; }
 
   // True if this protocol uses a second (control) port, like RTP/RTCP.
   virtual bool uses_control_port() const { return false; }
@@ -74,7 +68,7 @@ class RtpModule : public ProtocolModule {
   SimTime RecordDeliveryOffset(const MediaPacket& packet, SimTime arrival_offset) override;
   void OnRecordPacket(const MediaPacket& packet, SimTime arrival_offset,
                       PacketSequence& interleave_out) override;
-  PlaybackRoute RoutePlayback(const MediaPacket& packet) const override;
+  bool PlaysToControlPort(const MediaPacket& packet) const override;
   bool uses_control_port() const override { return true; }
 
  private:

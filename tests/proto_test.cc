@@ -93,10 +93,10 @@ TEST(RtpModuleTest, InterleavesPeriodicControlPackets) {
 TEST(RtpModuleTest, RoutesControlPacketsToControlPort) {
   RtpModule rtp;
   MediaPacket data;
-  EXPECT_FALSE(rtp.RoutePlayback(data).to_control_port);
+  EXPECT_FALSE(rtp.PlaysToControlPort(data));
   MediaPacket control;
   control.flags = kPacketControl;
-  EXPECT_TRUE(rtp.RoutePlayback(control).to_control_port);
+  EXPECT_TRUE(rtp.PlaysToControlPort(control));
   EXPECT_TRUE(rtp.uses_control_port());
 }
 
