@@ -1,5 +1,6 @@
 #include "src/sim/simulator.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -7,69 +8,111 @@ namespace calliope {
 
 Simulator::~Simulator() {
   // Destroy parked coroutine frames so abandoned simulations do not leak.
-  // Draining the queue is enough: destroying a frame runs destructors of its
-  // locals, which may own further conditions/frames, recursively.
+  // Draining the queue in pop order is enough: destroying a frame or closure
+  // runs destructors of its locals, which may own further conditions/frames,
+  // recursively (and may even queue more events, which this loop drains too).
   while (!queue_.empty()) {
-    Event event = PopTop();
-    if (event.coro) {
-      event.coro.destroy();
+    const Key key = PopKey();
+    Body& body = bodies_[key.slot];
+    const std::coroutine_handle<> coro = std::exchange(body.coro, nullptr);
+    UniqueFunction<void()> fn = std::move(body.fn);
+    Release(key.slot);
+    if (coro) {
+      coro.destroy();
     }
   }
 }
 
-void Simulator::Push(Event event) {
-  assert(event.at >= now_ && "cannot schedule in the past");
-  queue_.push_back(std::move(event));
-  std::push_heap(queue_.begin(), queue_.end(), Later);
+uint32_t Simulator::Push(SimTime at, UniqueFunction<void()> fn, std::coroutine_handle<> coro) {
+  assert(at >= now_ && "cannot schedule in the past");
+  uint32_t slot = static_cast<uint32_t>(bodies_.size());
+  if (free_slots_.empty()) {
+    bodies_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Body& body = bodies_[slot];
+  body.fn = std::move(fn);
+  body.coro = coro;
+  const Key key{at, next_seq_++, slot};
+  // Sift up: move the hole toward the root past every later parent.
+  size_t hole = queue_.size();
+  queue_.emplace_back();
+  while (hole > 0) {
+    const size_t parent = (hole - 1) / kHeapArity;
+    if (!Before(key, queue_[parent])) {
+      break;
+    }
+    queue_[hole] = queue_[parent];
+    hole = parent;
+  }
+  queue_[hole] = key;
+  return slot;
 }
 
-Simulator::Event Simulator::PopTop() {
-  std::pop_heap(queue_.begin(), queue_.end(), Later);
-  Event event = std::move(queue_.back());
+Simulator::Key Simulator::PopKey() {
+  const Key top = queue_.front();
+  const Key last = queue_.back();
   queue_.pop_back();
-  return event;
+  const size_t size = queue_.size();
+  if (size == 0) {
+    return top;
+  }
+  // Sift down: move the hole at the root toward the leaves past every child
+  // earlier than `last`, then drop `last` into it.
+  size_t hole = 0;
+  for (;;) {
+    const size_t first = hole * kHeapArity + 1;
+    if (first >= size) {
+      break;
+    }
+    const size_t end = std::min(first + kHeapArity, size);
+    size_t earliest = first;
+    for (size_t child = first + 1; child < end; ++child) {
+      if (Before(queue_[child], queue_[earliest])) {
+        earliest = child;
+      }
+    }
+    if (!Before(queue_[earliest], last)) {
+      break;
+    }
+    queue_[hole] = queue_[earliest];
+    hole = earliest;
+  }
+  queue_[hole] = last;
+  return top;
 }
 
 void Simulator::ScheduleAt(SimTime at, UniqueFunction<void()> fn) {
-  Push(Event{at, next_seq_++, std::move(fn), nullptr});
+  Push(at, std::move(fn), nullptr);
 }
 
 EventToken Simulator::ScheduleCancelableAt(SimTime at, UniqueFunction<void()> fn) {
-  uint32_t slot;
-  if (!free_cancel_slots_.empty()) {
-    slot = free_cancel_slots_.back();
-    free_cancel_slots_.pop_back();
-  } else {
-    slot = static_cast<uint32_t>(cancel_gens_.size());
-    cancel_gens_.push_back(0);
-  }
-  const uint64_t gen = cancel_gens_[slot];
-  Push(Event{at, next_seq_++, std::move(fn), nullptr, slot, gen});
-  return EventToken(this, slot, gen);
+  const uint32_t slot = Push(at, std::move(fn), nullptr);
+  return EventToken(this, slot, bodies_[slot].gen);
 }
 
 void Simulator::ScheduleResumeAt(SimTime at, std::coroutine_handle<> handle) {
-  Push(Event{at, next_seq_++, nullptr, handle});
+  Push(at, nullptr, handle);
 }
 
-void Simulator::ReleaseCancelSlot(const Event& event) {
-  if (event.cancel_slot == kNoCancelSlot) {
-    return;
-  }
-  if (cancel_gens_[event.cancel_slot] != event.cancel_gen) {
-    --cancelled_pending_;  // this event had been cancelled while queued
-  }
+void Simulator::Release(uint32_t slot) {
+  Body& body = bodies_[slot];
   // Bump the generation so stale tokens can never cancel a future event that
   // recycles this slot, then recycle it.
-  cancel_gens_[event.cancel_slot] = event.cancel_gen + 1;
-  free_cancel_slots_.push_back(event.cancel_slot);
+  ++body.gen;
+  body.cancelled = false;
+  free_slots_.push_back(slot);
 }
 
 void Simulator::Cancel(uint32_t slot, uint64_t gen) {
-  if (slot >= cancel_gens_.size() || cancel_gens_[slot] != gen) {
+  if (slot >= bodies_.size() || bodies_[slot].gen != gen || bodies_[slot].cancelled) {
     return;  // already fired, purged, or cancelled via another token copy
   }
-  ++cancel_gens_[slot];
+  // The closure stays put: it is destroyed when the event pops or is purged,
+  // never here, because it may own a coroutine frame whose caller is running.
+  bodies_[slot].cancelled = true;
   ++cancelled_pending_;
   // Lazy purge: only when cancelled events dominate the queue is the O(n)
   // sweep worth it. Long-lived schedule/cancel/reschedule timer patterns
@@ -81,31 +124,46 @@ void Simulator::Cancel(uint32_t slot, uint64_t gen) {
 }
 
 void Simulator::PurgeCancelled() {
+  // Closures are destroyed only once the heap is whole again: a destructor
+  // may schedule.
+  std::vector<UniqueFunction<void()>> dropped;
   auto keep = queue_.begin();
-  for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-    if (!it->coro && !CancelLive(*it)) {
-      ReleaseCancelSlot(*it);
+  for (const Key& key : queue_) {
+    Body& body = bodies_[key.slot];
+    if (body.cancelled) {
+      dropped.push_back(std::move(body.fn));
+      --cancelled_pending_;
+      Release(key.slot);
       continue;
     }
-    if (keep != it) {
-      *keep = std::move(*it);
-    }
-    ++keep;
+    *keep++ = key;
   }
   queue_.erase(keep, queue_.end());
-  std::make_heap(queue_.begin(), queue_.end(), Later);
+  std::sort(queue_.begin(), queue_.end(), Before);  // a sorted array is a heap
 }
 
-void Simulator::Fire(Event& event) {
+void Simulator::FireTop() {
+  const Key key = PopKey();
+  now_ = key.at;
   ++events_fired_;
-  if (event.coro) {
-    event.coro.resume();
+  // Move the work out and recycle the slot before running it: the callee may
+  // schedule, reuse this slot and grow bodies_. The closure is destroyed
+  // only after it has run.
+  Body& body = bodies_[key.slot];
+  if (body.coro) {
+    const std::coroutine_handle<> coro = std::exchange(body.coro, nullptr);
+    Release(key.slot);
+    coro.resume();
     return;
   }
-  const bool live = CancelLive(event);
-  ReleaseCancelSlot(event);
+  UniqueFunction<void()> fn = std::move(body.fn);
+  const bool live = !body.cancelled;
+  if (!live) {
+    --cancelled_pending_;  // this event had been cancelled while queued
+  }
+  Release(key.slot);
   if (live) {
-    event.fn();
+    fn();
   }
 }
 
@@ -113,9 +171,7 @@ bool Simulator::Step() {
   if (queue_.empty()) {
     return false;
   }
-  Event event = PopTop();
-  now_ = event.at;
-  Fire(event);
+  FireTop();
   return true;
 }
 
@@ -130,9 +186,7 @@ int64_t Simulator::Run() {
 int64_t Simulator::RunUntil(SimTime deadline) {
   int64_t fired = 0;
   while (!queue_.empty() && queue_.front().at <= deadline) {
-    Event event = PopTop();
-    now_ = event.at;
-    Fire(event);
+    FireTop();
     ++fired;
   }
   if (now_ < deadline) {

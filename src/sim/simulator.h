@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <coroutine>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "src/util/unique_function.h"
@@ -101,36 +102,41 @@ class Simulator {
  private:
   friend class EventToken;
 
-  static constexpr uint32_t kNoCancelSlot = UINT32_MAX;
-
-  struct Event {
+  // Heap entry: trivially copyable, so a sift moves 24 bytes and never
+  // touches the event's closure. `slot` names the event's body.
+  struct Key {
     SimTime at;
     uint64_t seq;
-    UniqueFunction<void()> fn;              // exactly one of fn / coro is set
+    uint32_t slot;
+  };
+  static_assert(std::is_trivially_copyable_v<Key>);
+  // An event's closure or coroutine handle. It stays in its slot while the
+  // key sifts through the heap; the slot is recycled once the event leaves
+  // the queue (fired, purged or drained), and `gen` counts those recycles so
+  // a token naming an earlier occupant cancels nothing.
+  struct Body {
+    UniqueFunction<void()> fn;  // exactly one of fn / coro is set while queued
     std::coroutine_handle<> coro{nullptr};
-    uint32_t cancel_slot = kNoCancelSlot;   // optional (cancellable events)
-    uint64_t cancel_gen = 0;
-
-    bool operator>(const Event& other) const {
-      if (at != other.at) {
-        return at > other.at;
-      }
-      return seq > other.seq;
-    }
+    uint64_t gen = 0;
+    bool cancelled = false;
   };
 
-  // Min-heap ordering over the vector-backed queue.
-  static bool Later(const Event& a, const Event& b) { return a > b; }
-
-  void Push(Event event);
-  Event PopTop();
-  void Fire(Event& event);
-  // True while the event's token generation still matches (not cancelled).
-  bool CancelLive(const Event& event) const {
-    return event.cancel_slot == kNoCancelSlot ||
-           cancel_gens_[event.cancel_slot] == event.cancel_gen;
+  // (at, seq) is the only pop order. seq is unique, so the order is total
+  // and every correct heap pops the same sequence.
+  static bool Before(const Key& a, const Key& b) {
+    return a.at < b.at || (a.at == b.at && a.seq < b.seq);
   }
-  void ReleaseCancelSlot(const Event& event);
+  // The queue is a four-ary min-heap: half the depth of a binary heap, and
+  // the children a sift compares sit side by side in memory.
+  static constexpr size_t kHeapArity = 4;
+
+  // Queues a body holding `fn` or `coro`; returns its slot.
+  uint32_t Push(SimTime at, UniqueFunction<void()> fn, std::coroutine_handle<> coro);
+  Key PopKey();
+  // Pops the earliest event, advances the clock to it and runs it.
+  void FireTop();
+  // Recycles a slot whose closure or handle has already been moved out.
+  void Release(uint32_t slot);
   void Cancel(uint32_t slot, uint64_t gen);
   // Drops cancelled events from the queue and re-heapifies. Invoked lazily
   // when cancelled events pile up, so long-lived timer patterns (schedule,
@@ -140,11 +146,9 @@ class Simulator {
   SimTime now_;
   uint64_t next_seq_ = 0;
   int64_t events_fired_ = 0;
-  std::vector<Event> queue_;  // heap ordered by Later()
-  // Cancellation slots: gen mismatch == cancelled. Slots are recycled when
-  // their event leaves the queue (fired, purged or drained).
-  std::vector<uint64_t> cancel_gens_;
-  std::vector<uint32_t> free_cancel_slots_;
+  std::vector<Key> queue_;  // four-ary heap ordered by Before()
+  std::vector<Body> bodies_;
+  std::vector<uint32_t> free_slots_;
   int64_t cancelled_pending_ = 0;
 };
 

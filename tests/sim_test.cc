@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/sim/co.h"
@@ -7,6 +11,7 @@
 #include "src/sim/resource.h"
 #include "src/sim/simulator.h"
 #include "src/sim/task.h"
+#include "src/util/rng.h"
 
 namespace calliope {
 namespace {
@@ -111,6 +116,205 @@ TEST(SimulatorTest, LazyPurgeSweepsCancelledBacklog) {
   EXPECT_LT(sim.cancelled_pending(), 99);
   sim.Run();
   EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.cancelled_pending(), 0);
+}
+
+TEST(SimulatorTest, StaleTokenFromCancelledAndPoppedSlotCancelsNothing) {
+  // A cancelled event frees its slot when it pops (or is purged). A second
+  // copy of its token must not reach the event that recycles the slot.
+  Simulator sim;
+  bool first_fired = false;
+  bool second_fired = false;
+  EventToken first = sim.ScheduleCancelableAt(SimTime::Millis(1), [&] { first_fired = true; });
+  EventToken stale_copy = first;
+  first.Cancel();
+  sim.Run();  // pops the cancelled event and recycles its slot
+  EXPECT_FALSE(first_fired);
+  [[maybe_unused]] EventToken reuser =
+      sim.ScheduleCancelableAt(SimTime::Millis(2), [&] { second_fired = true; });
+  stale_copy.Cancel();
+  EXPECT_EQ(sim.cancelled_pending(), 0);
+  sim.Run();
+  EXPECT_TRUE(second_fired);
+}
+
+TEST(SimulatorTest, StaleTokenFromPurgedSlotCancelsNothing) {
+  Simulator sim;
+  std::vector<EventToken> tokens;
+  std::vector<EventToken> copies;
+  for (int i = 0; i < 100; ++i) {
+    tokens.push_back(sim.ScheduleCancelableAt(SimTime::Millis(10), [] {}));
+    copies.push_back(tokens.back());
+  }
+  for (EventToken& token : tokens) {
+    token.Cancel();  // the purge runs once the cancelled events dominate
+  }
+  EXPECT_LT(sim.cancelled_pending(), 100);
+  const int64_t parked = sim.cancelled_pending();
+  int fired = 0;
+  std::vector<EventToken> reusers;
+  for (int i = 0; i < 100; ++i) {
+    reusers.push_back(sim.ScheduleCancelableAt(SimTime::Millis(5), [&] { ++fired; }));
+  }
+  for (EventToken& copy : copies) {
+    copy.Cancel();
+  }
+  EXPECT_EQ(sim.cancelled_pending(), parked);
+  sim.Run();
+  EXPECT_EQ(fired, 100);
+  EXPECT_EQ(sim.cancelled_pending(), 0);
+}
+
+// Reference model of the event queue: the pop order is (at, seq), cancelled
+// events pop as no-ops, and a cancel that leaves more than 64 cancelled
+// events making up over half the queue purges every cancelled event.
+class ReferenceQueue {
+ public:
+  struct Entry {
+    int id = 0;
+    bool cancelled = false;
+  };
+
+  int Schedule(SimTime at) {
+    const int id = next_id_++;
+    pending_[{at.nanos(), next_seq_++}] = Entry{id, false};
+    where_[id] = {at.nanos(), next_seq_ - 1};
+    return id;
+  }
+
+  void Cancel(int id) {
+    auto it = where_.find(id);
+    if (it == where_.end()) {
+      return;  // fired, popped or purged
+    }
+    Entry& entry = pending_.at(it->second);
+    if (entry.cancelled) {
+      return;
+    }
+    entry.cancelled = true;
+    ++cancelled_pending_;
+    if (cancelled_pending_ > 64 &&
+        cancelled_pending_ > static_cast<int64_t>(pending_.size()) / 2) {
+      for (auto p = pending_.begin(); p != pending_.end();) {
+        if (p->second.cancelled) {
+          where_.erase(p->second.id);
+          p = pending_.erase(p);
+        } else {
+          ++p;
+        }
+      }
+      cancelled_pending_ = 0;
+    }
+  }
+
+  // Pops the earliest event; returns its id, or -1 if it was cancelled.
+  int Pop(SimTime* now) {
+    auto it = pending_.begin();
+    *now = SimTime(it->first.first);
+    const Entry entry = it->second;
+    where_.erase(entry.id);
+    pending_.erase(it);
+    ++pops_;
+    if (entry.cancelled) {
+      --cancelled_pending_;
+      return -1;
+    }
+    return entry.id;
+  }
+
+  bool empty() const { return pending_.empty(); }
+  int64_t cancelled_pending() const { return cancelled_pending_; }
+  int64_t pops() const { return pops_; }
+
+ private:
+  std::map<std::pair<int64_t, uint64_t>, Entry> pending_;
+  std::map<int, std::pair<int64_t, uint64_t>> where_;
+  int next_id_ = 0;
+  uint64_t next_seq_ = 0;
+  int64_t cancelled_pending_ = 0;
+  int64_t pops_ = 0;
+};
+
+TEST(SimulatorTest, SeededScheduleCancelRescheduleFiresInReferenceOrder) {
+  Simulator sim;
+  ReferenceQueue reference;
+  Rng rng(20240611);
+  std::vector<int> fired;
+  std::vector<int> expected;
+  std::vector<std::pair<EventToken, int>> tokens;  // token, reference id
+
+  // Every seventh event schedules a child at its own instant from inside its
+  // callback, so slots are recycled while a callee runs. The reference queues
+  // the child (and names it) just before the simulator pops its parent.
+  int child_id = -1;
+  std::function<void(SimTime, int)> schedule_in_sim = [&](SimTime at, int id) {
+    auto fn = [&, id] {
+      fired.push_back(id);
+      if (id % 7 == 0) {
+        schedule_in_sim(sim.Now(), child_id);
+      }
+    };
+    if (rng.NextBernoulli(0.5)) {
+      tokens.emplace_back(sim.ScheduleCancelableAt(at, fn), id);
+    } else {
+      sim.ScheduleAt(at, fn);
+    }
+  };
+  const auto schedule = [&](SimTime at) { schedule_in_sim(at, reference.Schedule(at)); };
+  // Few distinct offsets, so many events share an instant.
+  const auto pick_time = [&] {
+    static constexpr int64_t kOffsetsNs[] = {0, 0, 0, 1000, 1000000, 5000000};
+    const uint64_t pick = rng.NextBelow(7);
+    return sim.Now() + (pick < 6 ? SimTime(kOffsetsNs[pick])
+                                 : SimTime(static_cast<int64_t>(rng.NextBelow(10000000))));
+  };
+  const auto cancel_random = [&] {
+    if (tokens.empty()) {
+      return;
+    }
+    auto& [token, id] = tokens[rng.NextBelow(tokens.size())];
+    token.Cancel();  // may be stale: fired, purged or already cancelled
+    reference.Cancel(id);
+  };
+  const auto step = [&] {
+    if (reference.empty()) {
+      EXPECT_FALSE(sim.Step());
+      return;
+    }
+    SimTime at;
+    const int id = reference.Pop(&at);
+    if (id >= 0) {
+      expected.push_back(id);
+      if (id % 7 == 0) {
+        child_id = reference.Schedule(at);
+      }
+    }
+    ASSERT_TRUE(sim.Step());
+    EXPECT_EQ(sim.Now(), at);
+  };
+
+  for (int op = 0; op < 10000; ++op) {
+    const uint64_t kind = rng.NextBelow(100);
+    if (kind < 35) {
+      schedule(pick_time());
+    } else if (kind < 55) {
+      cancel_random();
+    } else if (kind < 70) {
+      cancel_random();
+      schedule(pick_time());
+    } else {
+      step();
+    }
+    ASSERT_EQ(sim.cancelled_pending(), reference.cancelled_pending()) << "op " << op;
+  }
+  while (!reference.empty()) {
+    step();
+  }
+  EXPECT_TRUE(sim.Empty());
+  EXPECT_EQ(fired, expected);
+  EXPECT_GT(fired.size(), 2000u);
+  // Cancelled pops count as fired events; purged ones never pop.
+  EXPECT_EQ(sim.events_fired(), reference.pops());
   EXPECT_EQ(sim.cancelled_pending(), 0);
 }
 
@@ -289,6 +493,47 @@ TEST(CoTest, AbandonedChainIsReclaimedBySimulatorTeardown) {
   }
   // Simulator destroyed with the chain parked; ASAN/valgrind would flag leaks.
   EXPECT_EQ(progress, 50);
+}
+
+// Appends `id` to *log when destroyed; a moved-from instance stays silent.
+class DestroyLog {
+ public:
+  DestroyLog(std::vector<int>* log, int id) : log_(log), id_(id) {}
+  DestroyLog(DestroyLog&& other) noexcept
+      : log_(std::exchange(other.log_, nullptr)), id_(other.id_) {}
+  DestroyLog& operator=(DestroyLog&&) = delete;
+  ~DestroyLog() {
+    if (log_ != nullptr) {
+      log_->push_back(id_);
+    }
+  }
+
+ private:
+  std::vector<int>* log_;
+  int id_;
+};
+
+Task ParkWithLog(Simulator& sim, SimTime delay, std::vector<int>* log, int id) {
+  DestroyLog guard(log, id);
+  co_await sim.Delay(delay);
+}
+
+TEST(SimulatorTest, TeardownDestroysParkedFramesAndClosuresInPopOrder) {
+  std::vector<int> destroyed;
+  {
+    Simulator sim;
+    ParkWithLog(sim, SimTime::Millis(30), &destroyed, 3);
+    sim.ScheduleAt(SimTime::Millis(10), [log = DestroyLog(&destroyed, 1)] {});
+    EventToken cancelled = sim.ScheduleCancelableAt(SimTime::Millis(20),
+                                                    [log = DestroyLog(&destroyed, 2)] {});
+    cancelled.Cancel();  // stays queued: one cancelled event never triggers a purge
+    ParkWithLog(sim, SimTime::Millis(10), &destroyed, 0);  // same instant, scheduled later
+    sim.ScheduleAt(SimTime::Millis(40), [log = DestroyLog(&destroyed, 4)] {});
+    EXPECT_EQ(sim.cancelled_pending(), 1);
+    EXPECT_TRUE(destroyed.empty());  // Cancel() never destroys the closure
+  }
+  // Pop order is (at, seq): 10 ms (closure 1, then frame 0), 20 ms, 30 ms, 40 ms.
+  EXPECT_EQ(destroyed, (std::vector<int>{1, 0, 2, 3, 4}));
 }
 
 TEST(CoTest, AbandonedResourceWaitersAreReclaimed) {
