@@ -33,7 +33,7 @@ struct Frame {
   explicit Frame(Bytes frame_size) : size(frame_size) {}
 
   Bytes size;
-  std::shared_ptr<void> payload;
+  std::shared_ptr<const void> payload;
   // Flow-mode aggregation: one Frame standing in for `packet_count` logical
   // datagrams sent back to back. The send path charges per-packet CPU and
   // port I/O `packet_count` times but makes a single copy/checksum/DMA/wire
