@@ -432,6 +432,7 @@ Co<MessageBody> Msu::HandleStartStream(MsuStartStream request) {
   NoteDiskInteresting(stream->disk_);
 
   MsuStream* raw = stream.get();
+  raw->SetListed(true);
   streams_[raw->id()] = std::move(stream);
   if (raw->shared()) {
     // Each member gets its own client-facing group entry, all pointing at the
@@ -457,7 +458,7 @@ Co<MessageBody> Msu::HandleStartStream(MsuStartStream request) {
   }
 
   if (request.record) {
-    raw->state_ = MsuStream::State::kRunning;
+    raw->SetState(MsuStream::State::kRunning);
   } else {
     raw->PlaybackLoop();
     if (request.start_offset > SimTime()) {
@@ -794,6 +795,7 @@ void Msu::OnStreamFinished(MsuStream* stream) {
   }
   NotifyTermination(std::move(note));
 
+  stream->SetListed(false);
   finished_streams_[stream->id()] = std::move(it->second);
   streams_.erase(it);
 }
@@ -1289,6 +1291,7 @@ void Msu::Crash() {
                        stream->file_name(),
                    stream->start_time(), "stream " + std::to_string(id) + " cut by crash");
     }
+    stream->SetListed(false);
     finished_streams_[id] = std::move(stream);
   }
   streams_.clear();

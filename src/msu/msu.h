@@ -158,6 +158,17 @@ class MsuStream {
   Co<Status> FinishRecording();
   bool NeedsDiskService() const;
   void StopInternal();
+  // The only writers of state_, fidelity_ and listed_: each keeps
+  // Msu::packet_neighbours_ equal to the number of streams for which
+  // IsPacketNeighbour() holds.
+  void SetState(State state);
+  void SetFidelity(Fidelity fidelity);
+  void SetListed(bool listed);
+  // Listed on the MSU, not stopped and at packet fidelity: a stream a flow
+  // neighbour's chunks must not queue ahead of (FlowChunkCap).
+  bool IsPacketNeighbour() const {
+    return listed_ && fidelity_ == Fidelity::kPacket && state_ != State::kStopped;
+  }
 
   // --- Hybrid fidelity (flow fast path; see stream_flow.cc) ---
   // One flow-mode iteration: aggregate refill, one sleep to the front page's
@@ -208,6 +219,7 @@ class MsuStream {
   GroupId group_;
   Mode mode_;
   State state_ = State::kStarting;
+  bool listed_ = false;  // in Msu::streams_
   Variant variant_ = Variant::kNormal;
   std::string file_name_;
   std::string ff_file_;
@@ -487,6 +499,8 @@ class Msu {
   ProtocolRegistry protocols_;
   Semaphore buffer_pool_;
   std::map<StreamId, std::unique_ptr<MsuStream>> streams_;
+  // Streams in streams_ with IsPacketNeighbour(), so FlowChunkCap is O(1).
+  int64_t packet_neighbours_ = 0;
   std::map<StreamId, std::unique_ptr<MsuStream>> finished_streams_;
   std::map<GroupId, Group> groups_;
   std::vector<std::unique_ptr<Condition>> disk_work_;

@@ -36,6 +36,24 @@ MsuStream::MsuStream(Msu& msu, const MsuStartStream& request,
   }
 }
 
+void MsuStream::SetState(State state) {
+  const bool was = IsPacketNeighbour();
+  state_ = state;
+  msu_->packet_neighbours_ += int64_t{IsPacketNeighbour()} - int64_t{was};
+}
+
+void MsuStream::SetFidelity(Fidelity fidelity) {
+  const bool was = IsPacketNeighbour();
+  fidelity_ = fidelity;
+  msu_->packet_neighbours_ += int64_t{IsPacketNeighbour()} - int64_t{was};
+}
+
+void MsuStream::SetListed(bool listed) {
+  const bool was = IsPacketNeighbour();
+  listed_ = listed;
+  msu_->packet_neighbours_ += int64_t{IsPacketNeighbour()} - int64_t{was};
+}
+
 SharedMemberState* MsuStream::FindMember(GroupId group) {
   for (SharedMemberState& member : members_) {
     if (member.group == group) {
@@ -300,7 +318,7 @@ Status MsuStream::Pause() {
     return FailedPreconditionError("stream not running");
   }
   NoteInteresting();  // settles any in-flight flow page before the state flips
-  state_ = State::kPaused;
+  SetState(State::kPaused);
   ++position_gen_;
   buffers_changed_.NotifyAll();
   return OkStatus();
@@ -308,7 +326,7 @@ Status MsuStream::Pause() {
 
 Status MsuStream::Resume() {
   if (state_ == State::kStarting) {
-    state_ = State::kRunning;
+    SetState(State::kRunning);
     buffers_changed_.NotifyAll();
     msu_->disk_work_[static_cast<size_t>(disk_)]->NotifyAll();
     return OkStatus();
@@ -317,7 +335,7 @@ Status MsuStream::Resume() {
     return FailedPreconditionError("stream not paused");
   }
   NoteInteresting();
-  state_ = State::kRunning;
+  SetState(State::kRunning);
   ++position_gen_;
   rebase_needed_ = true;  // deadlines restart from the paused position
   buffers_changed_.NotifyAll();
@@ -452,7 +470,7 @@ void MsuStream::OnRecordedPacket(const MediaPacket& packet) {
 }
 
 Co<Status> MsuStream::FinishRecording() {
-  state_ = State::kStopped;
+  SetState(State::kStopped);
   // Wait out any write the disk process has in flight.
   while (record_write_in_flight_) {
     co_await record_pages_ready_.Wait();
@@ -498,7 +516,7 @@ void MsuStream::StopInternal() {
   // already passed were sent in the per-packet model, so the analytic model
   // must count them before the page is dropped (quit, crash, data loss).
   NoteInteresting();
-  state_ = State::kStopped;
+  SetState(State::kStopped);
   ++position_gen_;
   prefetched_.clear();
   buffers_changed_.NotifyAll();

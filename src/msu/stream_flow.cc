@@ -36,13 +36,8 @@ size_t MsuStream::FlowChunkCap() const {
   // per-packet wire interleave, and the whole page goes out as one frame —
   // the big event win. Any packet-fidelity neighbour (just admitted, mid-VCR,
   // demoted, recording) brings the cap down.
-  for (const auto& [id, stream] : msu_->streams_) {
-    if (stream.get() != this && stream->fidelity_ == Fidelity::kPacket &&
-        stream->state_ != State::kStopped) {
-      return kFlowChunkRecordsShared;
-    }
-  }
-  return kFlowChunkRecordsAlone;
+  const int64_t others = msu_->packet_neighbours_ - int64_t{IsPacketNeighbour()};
+  return others > 0 ? kFlowChunkRecordsShared : kFlowChunkRecordsAlone;
 }
 
 bool MsuStream::FlowEligible() const {
@@ -67,7 +62,7 @@ void MsuStream::MaybePromote() {
   if (msu_->sim().Now() - last_interesting_ < msu_->params().fidelity.quiet_window) {
     return;
   }
-  fidelity_ = Fidelity::kFlow;
+  SetFidelity(Fidelity::kFlow);
   if (msu_->flow_promotions_metric_ != nullptr) {
     msu_->flow_promotions_metric_->Add();
   }
@@ -79,7 +74,7 @@ void MsuStream::NoteInteresting() {
     return;
   }
   SettleFlowPage();
-  fidelity_ = Fidelity::kPacket;
+  SetFidelity(Fidelity::kPacket);
   if (msu_->flow_demotions_metric_ != nullptr) {
     msu_->flow_demotions_metric_->Add();
   }
@@ -196,7 +191,7 @@ Co<void> MsuStream::FlowStep() {
     if (file_ == nullptr || play_page_ >= file_->image().page_count()) {
       // End of content: hand back to the packet loop, whose end-of-content
       // break owns stream termination.
-      fidelity_ = Fidelity::kPacket;
+      SetFidelity(Fidelity::kPacket);
       co_return;
     }
     const size_t first = next_page_to_read_;

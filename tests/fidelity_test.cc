@@ -12,6 +12,7 @@
 // (see tests/CMakeLists.txt); CALLIOPE_CHAOS_SEED sweeps the seed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <functional>
 #include <string>
@@ -312,6 +313,133 @@ TEST(FidelityDemotionTest, MsuCrashFailoverDemotesAndRecovers) {
   // Same admission outcomes (initial placements and failover re-placements).
   EXPECT_EQ(packet.admissions_accepted, flow.admissions_accepted);
   EXPECT_EQ(packet.admissions_rejected, flow.admissions_rejected);
+}
+
+// ---- flow chunk cap (FlowChunkCap) ------------------------------------------
+// While a packet-fidelity stream plays on the same MSU, a flow stream's
+// aggregated chunks carry at most 8 records, so the neighbour's packets never
+// queue behind a page-sized frame. Once the neighbour is gone the cap lifts
+// and chunks carry whole pages again, however the neighbour left.
+
+enum class NeighbourExit { kPauseThenStop, kQuit, kMsuCrashAndRestart };
+
+struct ChunkSpan {
+  int64_t chunks = 0;
+  int64_t largest = 0;
+  int64_t smallest = 0;
+};
+
+// Records the flow chunk sizes (in records) the link hook sees leave msu0 for
+// one client UDP port.
+class ChunkLog {
+ public:
+  void See(SimTime at, int port, int64_t records) { chunks_.push_back({at, port, records}); }
+
+  ChunkSpan Between(int port, SimTime from, SimTime to) const {
+    ChunkSpan span;
+    for (const Chunk& chunk : chunks_) {
+      if (chunk.port != port || chunk.at < from || chunk.at >= to) {
+        continue;
+      }
+      span.smallest = span.chunks == 0 ? chunk.records : std::min(span.smallest, chunk.records);
+      span.largest = std::max(span.largest, chunk.records);
+      ++span.chunks;
+    }
+    return span;
+  }
+
+ private:
+  struct Chunk {
+    SimTime at;
+    int port = 0;
+    int64_t records = 0;
+  };
+  std::vector<Chunk> chunks_;
+};
+
+void RunChunkCapScenario(NeighbourExit exit) {
+  InstallationConfig config = FidelityConfigFor(SweepSeed(5), 1, Fidelity::kFlow);
+  ChunkLog log;  // outlives the cluster, whose hook writes into it
+  TestCluster cluster(config);
+  Simulator& sim = cluster.sim();
+  ASSERT_TRUE(cluster.Boot().ok());
+  ASSERT_TRUE(cluster.installation().LoadMpegMovie("m0", SimTime::Seconds(40), 0, false).ok());
+  ASSERT_TRUE(cluster.installation()
+                  .LoadPackets("vbr0", "rtp-video",
+                               GenerateVbr(Graph2File(0), SimTime::Seconds(40)), 0)
+                  .ok());
+  cluster.network().set_fault_hook([&log, &sim](const Datagram& datagram) {
+    if (datagram.proto == Datagram::Proto::kUdp && datagram.src_node == "msu0") {
+      const auto& media = *std::static_pointer_cast<const MediaDatagramPayload>(datagram.payload);
+      if (media.flow_count > 0) {
+        log.See(sim.Now(), datagram.dst_port, media.flow_count);
+      }
+    }
+    return LinkFault();
+  });
+  auto client = cluster.AddConnectedClient("c");
+  ASSERT_TRUE(client.ok());
+  auto viewer = PlayOn(sim, **client, "m0", "tv");
+  ASSERT_TRUE(viewer.ok());
+  // The neighbour never leaves the per-packet model: an RTP playback, or for
+  // the crash a recording, which failover does not resume (a playback
+  // would come back on the restarted MSU and rightly cap the viewer again).
+  auto neighbour = exit == NeighbourExit::kMsuCrashAndRestart
+                       ? RecordOn(sim, **client, "clip", "rtp-video", "nb", SimTime::Seconds(20))
+                       : PlayOn(sim, **client, "vbr0", "nb", "rtp-video");
+  ASSERT_TRUE(neighbour.ok());
+  const int tv_port = (*client)->FindPort("tv")->udp_port();
+
+  const SimTime capped_from = sim.Now() + SimTime::Seconds(1);
+  sim.RunFor(SimTime::Seconds(3));
+  const ChunkSpan capped = log.Between(tv_port, capped_from, sim.Now());
+  EXPECT_GT(capped.chunks, 10);
+  EXPECT_LE(capped.largest, 8);
+
+  switch (exit) {
+    case NeighbourExit::kPauseThenStop: {
+      ASSERT_TRUE(VcrOp(sim, **client, neighbour->group, VcrCommand::Op::kPause).ok());
+      const SimTime paused_at = sim.Now();
+      sim.RunFor(SimTime::Seconds(2));
+      // Paused is not stopped: the neighbour may resume at any moment.
+      const ChunkSpan paused = log.Between(tv_port, paused_at, sim.Now());
+      EXPECT_GT(paused.chunks, 0);
+      EXPECT_LE(paused.largest, 8);
+      ASSERT_TRUE(QuitGroup(sim, **client, neighbour->group).ok());
+      break;
+    }
+    case NeighbourExit::kQuit:
+      ASSERT_TRUE(QuitGroup(sim, **client, neighbour->group).ok());
+      break;
+    case NeighbourExit::kMsuCrashAndRestart: {
+      cluster.msu(0).Crash();
+      sim.RunFor(SimTime::Seconds(1));
+      CoResult<Status> restarted;
+      Collect(cluster.msu(0).Restart("coordinator"), &restarted);
+      ASSERT_TRUE(RunUntil(sim, [&] { return restarted.done(); }, SimTime::Seconds(10)));
+      ASSERT_TRUE(restarted.value->ok());
+      break;
+    }
+  }
+  // Past the viewer's quiet window (it is re-promoted after any demotion).
+  sim.RunFor(SimTime::Seconds(2));
+  const SimTime free_from = sim.Now();
+  sim.RunFor(SimTime::Seconds(5));
+  const ChunkSpan free = log.Between(tv_port, free_from, sim.Now());
+  EXPECT_GT(free.chunks, 0);
+  EXPECT_GT(free.smallest, 8);
+}
+
+TEST(FidelityChunkCapTest, LiftsWhenPacketNeighbourPausesThenStops) {
+  RunChunkCapScenario(NeighbourExit::kPauseThenStop);
+}
+
+TEST(FidelityChunkCapTest, LiftsWhenPacketNeighbourQuits) {
+  RunChunkCapScenario(NeighbourExit::kQuit);
+}
+
+TEST(FidelityChunkCapTest, LiftsWhenMsuCrashCutsPacketNeighbour) {
+  RunChunkCapScenario(NeighbourExit::kMsuCrashAndRestart);
 }
 
 // ---- stream sharing (DESIGN §5.6) -------------------------------------------
