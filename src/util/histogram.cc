@@ -74,7 +74,7 @@ int64_t Histogram::Quantile(double q) const {
 }
 
 LatenessHistogram::LatenessHistogram(SimTime bin_width, size_t bin_count)
-    : bin_width_(bin_width), bins_(bin_count, 0) {
+    : bin_width_(bin_width), bin_count_(bin_count) {
   assert(bin_width.nanos() > 0);
   assert(bin_count > 0);
 }
@@ -90,16 +90,22 @@ void LatenessHistogram::Record(SimTime lateness) {
     return;
   }
   const size_t bin = static_cast<size_t>(lateness.nanos() / bin_width_.nanos());
-  if (bin >= bins_.size()) {
+  if (bin >= bin_count_) {
     ++overflow_;
     return;
+  }
+  if (bin >= bins_.size()) {
+    bins_.resize(bin + 1, 0);
   }
   ++bins_[bin];
 }
 
 void LatenessHistogram::Merge(const LatenessHistogram& other) {
-  assert(bin_width_ == other.bin_width_ && bins_.size() == other.bins_.size());
-  for (size_t i = 0; i < bins_.size(); ++i) {
+  assert(bin_width_ == other.bin_width_ && bin_count_ == other.bin_count_);
+  if (bins_.size() < other.bins_.size()) {
+    bins_.resize(other.bins_.size(), 0);
+  }
+  for (size_t i = 0; i < other.bins_.size(); ++i) {
     bins_[i] += other.bins_[i];
   }
   underflow_ += other.underflow_;
@@ -178,7 +184,8 @@ std::vector<LatenessHistogram::CdfPoint> LatenessHistogram::CdfSeries(size_t poi
   const size_t step = std::max<size_t>(1, span / points);
   int64_t covered = underflow_;
   for (size_t i = 0; i < span; ++i) {
-    covered += bins_[i];
+    // bins_ is still empty when every sample underflowed or overflowed.
+    covered += i < bins_.size() ? bins_[i] : 0;
     if ((i + 1) % step == 0 || i == span - 1) {
       out.push_back({bin_width_ * static_cast<int64_t>(i + 1),
                      100.0 * static_cast<double>(covered) / static_cast<double>(total_)});

@@ -107,6 +107,10 @@ class LatenessHistogram {
 
  private:
   SimTime bin_width_;
+  size_t bin_count_;  // samples at or past bin_count_ bins overflow
+  // Grown on demand up to the highest bin recorded: nearly every sample
+  // lands in the first few bins, and an unrecorded bin reads as zero to
+  // every query, which walks only bins_.size().
   std::vector<int64_t> bins_;
   int64_t underflow_ = 0;
   int64_t overflow_ = 0;

@@ -1,6 +1,12 @@
 // Tests for the utility layer: status/result, units, RNG, histogram, table.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/util/histogram.h"
 #include "src/util/rng.h"
 #include "src/util/status.h"
@@ -217,6 +223,202 @@ TEST(HistogramTest, MergeAddsCounts) {
   a.Merge(b);
   EXPECT_EQ(a.total_count(), 2);
   EXPECT_EQ(a.MaxRecorded(), SimTime::Millis(2));
+}
+
+// Dense reference for LatenessHistogram: every one of its `bin_count` bins
+// exists from the start, and each query walks them all.
+class DenseLatenessReference {
+ public:
+  DenseLatenessReference(SimTime bin_width, size_t bin_count)
+      : bin_width_(bin_width), bins_(bin_count, 0) {}
+
+  void Record(SimTime lateness) {
+    ++total_;
+    if (lateness < SimTime()) {
+      ++underflow_;
+      return;
+    }
+    const auto bin = static_cast<size_t>(lateness / bin_width_);
+    if (bin >= bins_.size()) {
+      ++overflow_;
+      return;
+    }
+    ++bins_[bin];
+  }
+  void Merge(const DenseLatenessReference& other) {
+    for (size_t i = 0; i < bins_.size(); ++i) {
+      bins_[i] += other.bins_[i];
+    }
+    underflow_ += other.underflow_;
+    overflow_ += other.overflow_;
+    total_ += other.total_;
+  }
+  double FractionWithin(SimTime threshold) const {
+    if (total_ == 0) {
+      return 1.0;
+    }
+    int64_t covered = underflow_;
+    for (size_t i = 0; i < bins_.size(); ++i) {
+      if (static_cast<int64_t>(i) <= threshold / bin_width_) {
+        covered += bins_[i];
+      }
+    }
+    return static_cast<double>(covered) / static_cast<double>(total_);
+  }
+  int64_t CountAbove(SimTime threshold) const {
+    int64_t above = overflow_;
+    for (size_t i = 0; i < bins_.size(); ++i) {
+      if (static_cast<int64_t>(i) > threshold / bin_width_) {
+        above += bins_[i];
+      }
+    }
+    return above;
+  }
+  SimTime Quantile(double q) const {
+    if (total_ == 0) {
+      return SimTime();
+    }
+    const auto target = std::min<int64_t>(
+        total_, static_cast<int64_t>(std::ceil(q * static_cast<double>(total_))));
+    int64_t covered = underflow_;
+    if (covered >= target) {
+      return SimTime();
+    }
+    for (size_t i = 0; i < bins_.size(); ++i) {
+      covered += bins_[i];
+      if (covered >= target) {
+        return bin_width_ * static_cast<int64_t>(i + 1);
+      }
+    }
+    return SimTime::Max();
+  }
+  std::vector<std::pair<SimTime, double>> CdfSeries(size_t points) const {
+    std::vector<std::pair<SimTime, double>> out;
+    if (total_ == 0 || points == 0) {
+      return out;
+    }
+    size_t last = 0;
+    for (size_t i = 0; i < bins_.size(); ++i) {
+      if (bins_[i] > 0) {
+        last = i;
+      }
+    }
+    const size_t span = last + 1;
+    const size_t step = std::max<size_t>(1, span / points);
+    int64_t covered = underflow_;
+    for (size_t i = 0; i < span; ++i) {
+      covered += bins_[i];
+      if ((i + 1) % step == 0 || i == span - 1) {
+        out.emplace_back(bin_width_ * static_cast<int64_t>(i + 1),
+                         100.0 * static_cast<double>(covered) / static_cast<double>(total_));
+      }
+    }
+    if (overflow_ > 0) {
+      out.emplace_back(SimTime::Max(), 100.0);
+    }
+    return out;
+  }
+
+ private:
+  SimTime bin_width_;
+  std::vector<int64_t> bins_;
+  int64_t underflow_ = 0;
+  int64_t overflow_ = 0;
+  int64_t total_ = 0;
+};
+
+void ExpectSameAnswers(const LatenessHistogram& lazy, const DenseLatenessReference& dense,
+                       const std::string& label) {
+  SCOPED_TRACE(label);
+  for (int64_t us = -2000; us <= 1'300'000; us += 997) {
+    const SimTime threshold = SimTime::Micros(us);
+    ASSERT_EQ(lazy.FractionWithin(threshold), dense.FractionWithin(threshold)) << us;
+    ASSERT_EQ(lazy.CountAbove(threshold), dense.CountAbove(threshold)) << us;
+  }
+  for (double q : {0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 0.9999, 1.0}) {
+    EXPECT_EQ(lazy.Quantile(q), dense.Quantile(q)) << q;
+  }
+  for (size_t points : {size_t{0}, size_t{1}, size_t{7}, size_t{60}, size_t{5000}}) {
+    const auto series = lazy.CdfSeries(points);
+    const auto expected = dense.CdfSeries(points);
+    ASSERT_EQ(series.size(), expected.size()) << points;
+    for (size_t i = 0; i < series.size(); ++i) {
+      EXPECT_EQ(series[i].lateness, expected[i].first) << points << " row " << i;
+      EXPECT_EQ(series[i].cumulative_percent, expected[i].second) << points << " row " << i;
+    }
+  }
+}
+
+TEST(HistogramTest, LazilyGrownBinsAnswerLikeDenseReference) {
+  // Seeded samples: mostly the first few bins, a tail to ~800 ms, some early
+  // (underflow) and some past the last bin (overflow). The small histograms
+  // record only low bins, so merges combine very different bin extents.
+  Rng rng(77);
+  const auto draw = [&rng](int kind) {
+    switch (kind) {
+      case 0:
+        return SimTime::Micros(static_cast<int64_t>(rng.NextBelow(4000)));
+      case 1:
+        return SimTime::Micros(static_cast<int64_t>(rng.NextBelow(800'000)));
+      case 2:
+        return SimTime::Micros(-static_cast<int64_t>(rng.NextBelow(50'000)) - 1);
+      default:
+        return SimTime::Millis(1000) + SimTime::Micros(static_cast<int64_t>(rng.NextBelow(5000)));
+    }
+  };
+  const auto pick_kind = [&rng] {
+    const uint64_t roll = rng.NextBelow(100);
+    return roll < 85 ? 0 : roll < 93 ? 1 : roll < 97 ? 2 : 3;
+  };
+  const SimTime width = SimTime::Millis(1);
+  const size_t bins = 1000;
+  LatenessHistogram wide(width, bins);
+  DenseLatenessReference wide_ref(width, bins);
+  LatenessHistogram narrow(width, bins);
+  DenseLatenessReference narrow_ref(width, bins);
+  LatenessHistogram empty(width, bins);
+  DenseLatenessReference empty_ref(width, bins);
+  LatenessHistogram outside(width, bins);  // only underflow and overflow samples
+  DenseLatenessReference outside_ref(width, bins);
+  for (int i = 0; i < 20000; ++i) {
+    const SimTime sample = draw(pick_kind());
+    wide.Record(sample);
+    wide_ref.Record(sample);
+  }
+  for (int i = 0; i < 500; ++i) {
+    const SimTime sample = draw(0);
+    narrow.Record(sample);
+    narrow_ref.Record(sample);
+  }
+  for (int i = 0; i < 50; ++i) {
+    const SimTime sample = draw(2 + i % 2);
+    outside.Record(sample);
+    outside_ref.Record(sample);
+  }
+  ExpectSameAnswers(wide, wide_ref, "wide");
+  ExpectSameAnswers(narrow, narrow_ref, "narrow");
+  ExpectSameAnswers(empty, empty_ref, "empty");
+  ExpectSameAnswers(outside, outside_ref, "outside");
+  EXPECT_EQ(outside.CdfSeries(10).size(), 2u);  // bin 0 at 0%, then the overflow row
+
+  // Merge a short histogram into a long one and a long into a short one.
+  LatenessHistogram long_into_short = narrow;
+  DenseLatenessReference long_into_short_ref = narrow_ref;
+  long_into_short.Merge(wide);
+  long_into_short_ref.Merge(wide_ref);
+  ExpectSameAnswers(long_into_short, long_into_short_ref, "narrow+wide");
+  LatenessHistogram short_into_long = wide;
+  DenseLatenessReference short_into_long_ref = wide_ref;
+  short_into_long.Merge(narrow);
+  short_into_long_ref.Merge(narrow_ref);
+  ExpectSameAnswers(short_into_long, short_into_long_ref, "wide+narrow");
+  LatenessHistogram into_empty = empty;
+  DenseLatenessReference into_empty_ref = empty_ref;
+  into_empty.Merge(narrow);
+  into_empty.Merge(outside);
+  into_empty_ref.Merge(narrow_ref);
+  into_empty_ref.Merge(outside_ref);
+  ExpectSameAnswers(into_empty, into_empty_ref, "empty+narrow+outside");
 }
 
 TEST(TableTest, RendersAlignedColumns) {
