@@ -57,6 +57,13 @@ class Condition {
     sim_->ScheduleResumeAt(sim_->Now(), waiter.Release());
   }
 
+  // Destroys every parked frame without resuming it: for a park site torn
+  // down while a waiter's own frame keeps the site alive.
+  void DestroyWaiters() {
+    std::vector<OwnedCoro> doomed;
+    doomed.swap(waiters_);
+  }
+
   size_t waiter_count() const { return waiters_.size(); }
 
  private:

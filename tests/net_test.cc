@@ -172,6 +172,45 @@ TEST(NetworkTest, CallTimesOut) {
   EXPECT_EQ(reply.value->status().code(), StatusCode::kDeadlineExceeded);
 }
 
+// Sets *destroyed when the frame holding it is reclaimed.
+class DestroyedFlag {
+ public:
+  explicit DestroyedFlag(bool* destroyed) : destroyed_(destroyed) {}
+  DestroyedFlag(const DestroyedFlag&) = delete;
+  DestroyedFlag& operator=(const DestroyedFlag&) = delete;
+  ~DestroyedFlag() { *destroyed_ = true; }
+
+ private:
+  bool* destroyed_;
+};
+
+TEST(NetworkTest, TeardownReclaimsCallStillAwaitingResponse) {
+  // A parked Call's frame holds its PendingCall, whose Condition holds the
+  // frame. Tearing the network down must still destroy the frame and its
+  // caller, or the pair leaks (LeakSanitizer flagged exactly this).
+  bool caller_destroyed = false;
+  bool caller_finished = false;
+  {
+    TwoNodes env;
+    (void)env.b->ListenTcp(7000, [](TcpConn* conn) {
+      conn->set_receive_handler([](TcpConn*, const Envelope&) {});  // never respond
+    });
+    CoResult<Result<TcpConn*>> conn;
+    Collect(env.a->ConnectTcp("b", 7000), &conn);
+    ASSERT_TRUE(RunUntil(env.sim, [&] { return conn.done(); }, SimTime::Seconds(2)));
+    ASSERT_TRUE(conn.value->ok());
+    Detach([](TcpConn* c, bool* destroyed, bool* finished) -> Co<void> {
+      DestroyedFlag flag(destroyed);
+      (void)co_await c->Call(MessageBody{ListContentRequest{}}, SimTime::Seconds(60));
+      *finished = true;
+    }((*conn.value).value(), &caller_destroyed, &caller_finished));
+    env.sim.RunFor(SimTime::Seconds(1));
+    ASSERT_FALSE(caller_destroyed);  // parked on the response
+  }
+  EXPECT_TRUE(caller_destroyed);
+  EXPECT_FALSE(caller_finished);
+}
+
 TEST(NetworkTest, SegmentTrafficAccounting) {
   TwoNodes env;
   (void)env.b->BindUdp(9000, [](const Datagram&) {});
