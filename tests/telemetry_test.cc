@@ -1,10 +1,11 @@
 // Continuous-telemetry suite (DESIGN.md §5.7): MetricsSampler semantics,
 // declarative SLO monitors, and the acceptance scenario — a seeded disk
-// slowdown must be visible as a lateness-SLO breach whose first/last breach
-// timestamps are bracketed by the fault window, while the identical seed
-// without the fault reports zero breach windows; both runs byte-identical
-// across repeats, and a no-sampler run's ClusterReport byte-identical to an
-// installation that never heard of the feature.
+// slowdown must be visible as a lateness-SLO breach (and, under eight
+// streams, a delivery-gap breach) whose first/last breach timestamps are
+// bracketed by the fault window, while the identical seed without the fault
+// reports zero breach windows; both runs byte-identical across repeats, and a
+// no-sampler run's ClusterReport byte-identical to an installation that never
+// heard of the feature.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -223,17 +224,29 @@ struct ScenarioResult {
   SimTime fault_end;
 };
 
-// One seeded playback run: three streams off one MSU with the sampler at
-// 250 ms and a lateness-p99 SLO. With `with_fault`, a disk-slowdown window
+// The scenario's shape. The defaults are the three-stream lateness case,
+// where no port's delivery gap ever exceeds 500 ms even with the disks
+// slowed; the delivery-gap SLO needs the eight-stream shape below.
+struct DiskSlowShape {
+  int streams = 3;
+  SimTime window = SimTime::Millis(250);
+  SimTime play_span = SimTime::Seconds(6);
+  bool delivery_gap_slo = false;
+};
+
+// One seeded playback run: `shape.streams` streams off one MSU with the
+// sampler at `shape.window` and a lateness-p99 SLO (plus a 500 ms
+// delivery-gap SLO if asked). With `with_fault`, a disk-slowdown window
 // opens a third of the way in and outlives the playbacks, so every breach
 // window — including the catch-up tail — falls inside it.
-ScenarioResult RunDiskSlowScenario(bool with_sampler, bool with_fault) {
+ScenarioResult RunDiskSlowScenario(bool with_sampler, bool with_fault,
+                                   const DiskSlowShape& shape = {}) {
   ScenarioResult result;
   InstallationConfig config;
   config.msu_count = 1;
   config.msu_machine.disks_per_hba = {2};
   if (with_sampler) {
-    config.sampler.period = SimTime::Millis(250);
+    config.sampler.period = shape.window;
     SloSpec slo;
     slo.name = "lateness-p99";
     slo.signal = SloSpec::Signal::kLatenessP99;
@@ -245,12 +258,19 @@ ScenarioResult RunDiskSlowScenario(bool with_sampler, bool with_fault) {
     // MinBreachWindowsGatesEpisodes above.
     slo.min_breach_windows = 1;
     config.slos.push_back(slo);
+    if (shape.delivery_gap_slo) {
+      SloSpec gap;
+      gap.name = "delivery-gap";
+      gap.signal = SloSpec::Signal::kMaxGap;
+      gap.threshold = SimTime::Millis(500).micros();
+      config.slos.push_back(gap);
+    }
   }
   Installation calliope(config);
   EXPECT_TRUE(calliope.Boot().ok());
 
-  const SimTime play_span = SimTime::Seconds(6);
-  const int streams = 3;
+  const SimTime play_span = shape.play_span;
+  const int streams = shape.streams;
   for (int i = 0; i < streams; ++i) {
     EXPECT_TRUE(calliope
                     .LoadMpegMovie("t" + std::to_string(i), play_span + SimTime::Seconds(2), 0,
@@ -289,36 +309,75 @@ ScenarioResult RunDiskSlowScenario(bool with_sampler, bool with_fault) {
   return result;
 }
 
-TEST(TelemetryScenarioTest, DiskSlowdownBreachIsBracketedByFaultWindow) {
-  const ScenarioResult faulted = RunDiskSlowScenario(/*with_sampler=*/true, /*with_fault=*/true);
-  ASSERT_TRUE(faulted.report.timeline.has_value());
-  const TimelineReport& timeline = *faulted.report.timeline;
-  ASSERT_EQ(timeline.slos.size(), 1u);
-  const SloBreachReport& slo = timeline.slos[0];
-  EXPECT_EQ(slo.name, "lateness-p99");
-  EXPECT_GT(slo.breach_windows, 0) << "disk slowdown never surfaced as an SLO breach";
-  EXPECT_GE(slo.breach_episodes, 1);
-  EXPECT_GE(slo.first_breach_us, faulted.fault_start.micros())
-      << "breach reported before the fault window opened";
-  EXPECT_LE(slo.last_breach_us, faulted.fault_end.micros())
-      << "breach reported after the fault window closed";
-  EXPECT_GT(slo.worst_value, slo.threshold);
+// The SLO named `name` in a run's timeline, or nullptr. Timelines list SLOs
+// by name, not in declaration order.
+const SloBreachReport* FindSlo(const ScenarioResult& run, const std::string& name) {
+  for (const SloBreachReport& slo : run.report.timeline->slos) {
+    if (slo.name == name) {
+      return &slo;
+    }
+  }
+  return nullptr;
+}
 
-  // Identical seed without the fault: zero breach windows.
-  const ScenarioResult clean = RunDiskSlowScenario(/*with_sampler=*/true, /*with_fault=*/false);
+// Runs the scenario faulted and clean, twice each, and checks every SLO in
+// `slo_names`: the fault surfaces as breach windows bracketed by the fault
+// window, the identical seed without the fault reports none, and both
+// scenarios replay byte-identically.
+void ExpectBreachesBracketedByFault(const DiskSlowShape& shape,
+                                    const std::vector<std::string>& slo_names) {
+  const ScenarioResult faulted =
+      RunDiskSlowScenario(/*with_sampler=*/true, /*with_fault=*/true, shape);
+  ASSERT_TRUE(faulted.report.timeline.has_value());
+  ASSERT_EQ(faulted.report.timeline->slos.size(), slo_names.size());
+  const ScenarioResult clean =
+      RunDiskSlowScenario(/*with_sampler=*/true, /*with_fault=*/false, shape);
   ASSERT_TRUE(clean.report.timeline.has_value());
-  ASSERT_EQ(clean.report.timeline->slos.size(), 1u);
-  EXPECT_EQ(clean.report.timeline->slos[0].breach_windows, 0);
-  EXPECT_EQ(clean.report.timeline->slos[0].breach_episodes, 0);
-  EXPECT_EQ(clean.report.timeline->slos[0].first_breach_us, 0);
+  ASSERT_EQ(clean.report.timeline->slos.size(), slo_names.size());
+
+  for (const std::string& name : slo_names) {
+    SCOPED_TRACE(name);
+    const SloBreachReport* slo = FindSlo(faulted, name);
+    ASSERT_NE(slo, nullptr);
+    EXPECT_GT(slo->breach_windows, 0) << "disk slowdown never surfaced as an SLO breach";
+    EXPECT_GE(slo->breach_episodes, 1);
+    EXPECT_GE(slo->first_breach_us, faulted.fault_start.micros())
+        << "breach reported before the fault window opened";
+    EXPECT_LE(slo->last_breach_us, faulted.fault_end.micros())
+        << "breach reported after the fault window closed";
+    EXPECT_GT(slo->worst_value, slo->threshold);
+
+    // Identical seed without the fault: zero breach windows.
+    const SloBreachReport* quiet = FindSlo(clean, name);
+    ASSERT_NE(quiet, nullptr);
+    EXPECT_EQ(quiet->breach_windows, 0);
+    EXPECT_EQ(quiet->breach_episodes, 0);
+    EXPECT_EQ(quiet->first_breach_us, 0);
+  }
 
   // Determinism: both scenarios replay byte-identically.
   const ScenarioResult faulted2 =
-      RunDiskSlowScenario(/*with_sampler=*/true, /*with_fault=*/true);
+      RunDiskSlowScenario(/*with_sampler=*/true, /*with_fault=*/true, shape);
   EXPECT_EQ(faulted.report_json, faulted2.report_json);
   const ScenarioResult clean2 =
-      RunDiskSlowScenario(/*with_sampler=*/true, /*with_fault=*/false);
+      RunDiskSlowScenario(/*with_sampler=*/true, /*with_fault=*/false, shape);
   EXPECT_EQ(clean.report_json, clean2.report_json);
+}
+
+TEST(TelemetryScenarioTest, DiskSlowdownBreachIsBracketedByFaultWindow) {
+  ExpectBreachesBracketedByFault(DiskSlowShape{}, {"lateness-p99"});
+}
+
+// Eight streams, 500 ms windows and an 8 s play span: enough load on the
+// slowed disks that ports go over 500 ms without a packet (worst ~3.5 s),
+// so the delivery-gap SLO breaches next to lateness-p99.
+TEST(TelemetryScenarioTest, DiskSlowdownGapBreachIsBracketedByFaultWindow) {
+  DiskSlowShape shape;
+  shape.streams = 8;
+  shape.window = SimTime::Millis(500);
+  shape.play_span = SimTime::Seconds(8);
+  shape.delivery_gap_slo = true;
+  ExpectBreachesBracketedByFault(shape, {"lateness-p99", "delivery-gap"});
 }
 
 TEST(TelemetryScenarioTest, NoSamplerMeansNoTimelineAndNoPerturbation) {
