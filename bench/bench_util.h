@@ -34,7 +34,6 @@ struct PlaybackHandle {
   bool queued = false;  // Coordinator accepted but has no resources yet
   bool done = false;
   SimTime requested_at;  // when the play request was issued
-  std::string error;     // status of the step that failed, if any
 };
 
 inline Task StartPlayback(CalliopeClient& client, std::string content, std::string port_name,
@@ -42,7 +41,6 @@ inline Task StartPlayback(CalliopeClient& client, std::string content, std::stri
   auto port = co_await client.RegisterPort(port_name, type_name);
   if (!port.ok()) {
     out->failed = true;
-    out->error = "RegisterPort: " + port.status().ToString();
     out->done = true;
     co_return;
   }
@@ -50,7 +48,6 @@ inline Task StartPlayback(CalliopeClient& client, std::string content, std::stri
   auto play = co_await client.Play(std::move(content), std::move(port_name));
   if (!play.ok()) {
     out->failed = true;
-    out->error = "Play: " + play.status().ToString();
     out->done = true;
     co_return;
   }

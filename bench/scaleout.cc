@@ -14,21 +14,20 @@
 // mid-play, and the Coordinator re-places the interrupted streams on the
 // survivor near their last reported media offsets. Run with
 // --policy=<least-loaded|first-fit|power-of-two|replica-aware|all> to sweep
-// placement policies (default: all), or --failover-only to skip the
-// scale-out table.
-#include <algorithm>
-#include <chrono>
+// placement policies (default: all), --failover-only to skip the scale-out
+// table, or --report to print each failover run's ClusterReport.
+//
+// Exits 1 if a scale row admits fewer than 22 streams per MSU, or if any
+// policy resumes less than all of the crashed MSU's streams or leaves the
+// admission ledger unbalanced.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/load/workload.h"
-#include "src/util/rng.h"
 #include "src/util/table.h"
 
 namespace calliope {
@@ -191,982 +190,6 @@ FailoverResult RunFailover(const std::string& policy, SimTime play_before, SimTi
   return result;
 }
 
-// ---- hybrid-fidelity throughput sweep (ROADMAP item 5 trajectory) ----------
-//
-// Wall-clock simulator throughput for the same steady-state workload in both
-// fidelity modes, plus a flow-mode run at 200 MSUs / 10k+ streams — the
-// paper's "hundreds of PCs" claim, which per-packet simulation cannot reach.
-
-struct FidelityRunResult {
-  const char* mode = "";
-  int msus = 0;
-  int streams = 0;
-  double sim_seconds = 0;
-  double wall_seconds = 0;
-  int64_t events = 0;
-  double coordinator_cpu = 0;  // utilization over the measurement window
-
-  double events_per_sec() const {
-    return wall_seconds > 0 ? static_cast<double>(events) / wall_seconds : 0;
-  }
-  double sim_seconds_per_sec() const {
-    return wall_seconds > 0 ? sim_seconds / wall_seconds : 0;
-  }
-  // Stream-seconds of media delivery simulated per host core-second (the
-  // simulator is single-threaded, so wall time == core time).
-  double stream_seconds_per_core_sec() const {
-    return wall_seconds > 0 ? streams * sim_seconds / wall_seconds : 0;
-  }
-  // The per-mode cost figure: how many simulator events one stream-second of
-  // steady-state delivery costs. Flow mode's win is this dropping ~10-40x.
-  double events_per_stream_sim_second() const {
-    return streams > 0 && sim_seconds > 0
-               ? static_cast<double>(events) / (streams * sim_seconds)
-               : 0;
-  }
-};
-
-FidelityRunResult RunFidelityWorkload(Fidelity mode, int msu_count, int per_msu,
-                                      SimTime window, SimTime startup_timeout) {
-  FidelityRunResult result;
-  result.mode = mode == Fidelity::kFlow ? "flow" : "packet";
-  result.msus = msu_count;
-
-  InstallationConfig config;
-  config.msu_count = msu_count;
-  // Dense configs (the 200-MSU run) double the disks and budget so each MSU
-  // admits ~52 streams instead of the Graph-1 22.
-  const bool dense = per_msu > 22;
-  config.msu_machine.disks_per_hba = dense ? std::vector<int>{2, 2} : std::vector<int>{2};
-  config.coordinator.disk_budget =
-      dense ? DataRate::MegabytesPerSec(2.7) : DataRate::MegabytesPerSec(2.2);
-  config.msu.fidelity.default_mode = mode;
-  config.msu.fidelity.quiet_window = SimTime::Millis(300);
-  Installation calliope(config);
-  if (!calliope.Boot().ok()) {
-    return result;
-  }
-
-  const int disks = dense ? 4 : 2;
-  const int total = msu_count * per_msu;
-  // Pace admissions below the coordinator's capacity. Each stream costs it
-  // ~2.7 ms of compute (RegisterPort + Play + the MsuStartStream relay at
-  // request_compute each), so ~250 streams/s saturates the shared resource
-  // exactly as §3.3 predicts and the 10 s RPC timeout starts rejecting the
-  // backlog; 200/s keeps the admission queue short.
-  constexpr int kSpawnBatch = 100;
-  const int batches = (total + kSpawnBatch - 1) / kSpawnBatch;
-  const SimTime spawn_time = SimTime::Millis(500) * batches;
-  const SimTime content = spawn_time + startup_timeout + window + SimTime::Seconds(30);
-  for (int m = 0; m < msu_count; ++m) {
-    for (int d = 0; d < disks; ++d) {
-      (void)calliope.LoadMpegMovie("s" + std::to_string(m) + "_" + std::to_string(d), content,
-                                   static_cast<size_t>(m), false, d);
-    }
-  }
-
-  // Receiving a stream costs the viewer host ~2.7% of its serial CPU/memory
-  // resource (checksum read + user copy + per-packet receive compute), so a
-  // diskless host saturates near ~37 streams and its backlog then delays its
-  // own RPC responses past the timeout. The paper's clients are set-top
-  // boxes with one stream each; 16 per host is already generous.
-  const int num_clients = std::max(1, (total + 15) / 16);
-  std::vector<CalliopeClient*> clients;
-  std::vector<char> connected(static_cast<size_t>(num_clients), 0);
-  for (int c = 0; c < num_clients; ++c) {
-    clients.push_back(&calliope.AddClient("viewers" + std::to_string(c)));
-    [](CalliopeClient* cl, char* flag) -> Task {
-      *flag = (co_await cl->Connect("bob", "bob-key")).ok() ? 1 : 0;
-    }(clients.back(), &connected[static_cast<size_t>(c)]);
-  }
-  RunSimUntil(calliope.sim(),
-              [&] {
-                for (char flag : connected) {
-                  if (flag == 0) {
-                    return false;
-                  }
-                }
-                return true;
-              },
-              SimTime::Seconds(30));
-
-  std::vector<std::unique_ptr<PlaybackHandle>> handles;
-  for (int i = 0; i < total; ++i) {
-    const int m = i % msu_count;
-    const int d = (i / msu_count) % disks;
-    handles.push_back(std::make_unique<PlaybackHandle>());
-    StartPlayback(*clients[static_cast<size_t>(i % num_clients)],
-                  "s" + std::to_string(m) + "_" + std::to_string(d),
-                  "tv" + std::to_string(i), "mpeg1", handles.back().get());
-    if ((i + 1) % kSpawnBatch == 0 && i + 1 < total) {
-      calliope.sim().RunFor(SimTime::Millis(500));
-    }
-  }
-  RunSimUntil(calliope.sim(),
-              [&] {
-                for (const auto& handle : handles) {
-                  if (!handle->done) {
-                    return false;
-                  }
-                }
-                return true;
-              },
-              startup_timeout, SimTime::Millis(200));
-  // Let the last admissions pass their quiet window and promote.
-  calliope.sim().RunFor(SimTime::Seconds(1));
-  for (int m = 0; m < msu_count; ++m) {
-    result.streams += calliope.msu(static_cast<size_t>(m)).active_stream_count();
-  }
-  if (result.streams < total) {
-    int failed = 0, queued = 0, pending = 0;
-    std::map<std::string, int> reasons;
-    for (const auto& handle : handles) {
-      if (!handle->done) {
-        ++pending;
-      } else if (handle->failed) {
-        ++failed;
-        ++reasons[handle->error];
-      } else if (handle->queued) {
-        ++queued;
-      }
-    }
-    std::fprintf(stderr, "[fidelity] %s %d MSUs: %d/%d streams active (%d failed, %d queued, %d pending)\n",
-                 result.mode, msu_count, result.streams, total, failed, queued, pending);
-    for (const auto& [reason, count] : reasons) {
-      std::fprintf(stderr, "[fidelity]   %5d x %s\n", count, reason.c_str());
-    }
-  }
-
-  const int64_t events_before = calliope.sim().events_fired();
-  calliope.coordinator_node().machine().cpu().ResetStats();
-  const auto wall_before = std::chrono::steady_clock::now();
-  calliope.sim().RunFor(window);
-  const auto wall_after = std::chrono::steady_clock::now();
-  result.coordinator_cpu = calliope.coordinator_node().machine().cpu().Utilization();
-  result.events = calliope.sim().events_fired() - events_before;
-  result.sim_seconds = window.seconds();
-  result.wall_seconds = std::chrono::duration<double>(wall_after - wall_before).count();
-  return result;
-}
-
-// ---- popularity-aware stream sharing: Zipf capacity (DESIGN.md §5.6) -------
-//
-// The batching/caching claim: under a Zipf(1.0) title popularity distribution
-// (a realistic video-server workload), shared delivery groups plus the
-// interval cache let one MSU concurrently serve at least twice the viewers
-// the unique-stream baseline admits on the same topology and disk budget.
-
-struct SharingCapacityResult {
-  int viewers_offered = 0;
-  int titles = 0;
-  double zipf_skew = 1.0;
-  int baseline_served = 0;  // unique-stream mode: viewers receiving media
-  int shared_served = 0;    // sharing + interval cache enabled
-  int64_t groups_formed = 0;
-  int64_t cache_attaches = 0;
-  double ratio() const {
-    return baseline_served > 0 ? static_cast<double>(shared_served) / baseline_served : 0;
-  }
-};
-
-// One capacity probe: `picks[i]` is viewer i's title. Returns the number of
-// viewers actually receiving media at the checkpoint (mid-play, past the
-// batch window, before any title ends).
-int ServeZipfViewers(bool sharing, const std::vector<int>& picks, int titles,
-                     SimTime checkpoint, int64_t* groups_formed, int64_t* cache_attaches) {
-  InstallationConfig config;
-  config.msu_count = 1;
-  config.msu_machine.disks_per_hba = {2};
-  config.coordinator.disk_budget = DataRate::MegabytesPerSec(2.2);  // 11 streams/disk
-  config.coordinator.sharing.enabled = sharing;
-  config.coordinator.sharing.batch_window = SimTime::Seconds(1);
-  if (sharing) {
-    config.msu.cache_memory = Bytes::MiB(64);
-  }
-  Installation calliope(config);
-  if (!calliope.Boot().ok()) {
-    return 0;
-  }
-  const SimTime content_length = checkpoint + SimTime::Seconds(60);
-  for (int t = 0; t < titles; ++t) {
-    (void)calliope.LoadMpegMovie("z" + std::to_string(t), content_length, 0, false, t % 2);
-  }
-
-  // Spread viewers over client hosts: receiving a stream costs the host CPU,
-  // and one diskless host saturates near ~37 streams.
-  const int num_clients = std::max(1, (static_cast<int>(picks.size()) + 15) / 16);
-  std::vector<CalliopeClient*> clients;
-  std::vector<char> connected(static_cast<size_t>(num_clients), 0);
-  for (int c = 0; c < num_clients; ++c) {
-    clients.push_back(&calliope.AddClient("zview" + std::to_string(c)));
-    [](CalliopeClient* cl, char* flag) -> Task {
-      *flag = (co_await cl->Connect("bob", "bob-key")).ok() ? 1 : 0;
-    }(clients.back(), &connected[static_cast<size_t>(c)]);
-  }
-  RunSimUntil(calliope.sim(),
-              [&] {
-                for (char flag : connected) {
-                  if (flag == 0) {
-                    return false;
-                  }
-                }
-                return true;
-              },
-              SimTime::Seconds(10));
-
-  // Most viewers arrive inside one batch window (coalesced into groups); the
-  // last sixth trickle in 3 s later — past the window but inside the interval
-  // cache horizon, so shared mode attaches them from cached pages.
-  const size_t prompt_count = picks.size() - picks.size() / 6;
-  std::vector<std::unique_ptr<PlaybackHandle>> handles;
-  const auto start_viewer = [&](size_t i) {
-    handles.push_back(std::make_unique<PlaybackHandle>());
-    StartPlayback(*clients[i % clients.size()], "z" + std::to_string(picks[i]),
-                  "ztv" + std::to_string(i), "mpeg1", handles.back().get());
-  };
-  const auto all_done = [&] {
-    for (const auto& handle : handles) {
-      if (!handle->done) {
-        return false;
-      }
-    }
-    return true;
-  };
-  for (size_t i = 0; i < prompt_count; ++i) {
-    start_viewer(i);
-  }
-  RunSimUntil(calliope.sim(), all_done, SimTime::Seconds(20));
-  calliope.sim().RunFor(SimTime::Seconds(3));
-  for (size_t i = prompt_count; i < picks.size(); ++i) {
-    start_viewer(i);
-  }
-  RunSimUntil(calliope.sim(), all_done, SimTime::Seconds(20));
-  calliope.sim().RunFor(checkpoint);
-
-  int served = 0;
-  for (size_t i = 0; i < picks.size(); ++i) {
-    ClientDisplayPort* port = clients[i % clients.size()]->FindPort("ztv" + std::to_string(i));
-    if (port != nullptr && port->packets_received() > 0) {
-      ++served;
-    }
-  }
-  if (groups_formed != nullptr) {
-    *groups_formed = calliope.metrics().counter("coord.groups.formed").value();
-  }
-  if (cache_attaches != nullptr) {
-    *cache_attaches = calliope.metrics().counter("coord.groups.attaches").value();
-  }
-  return served;
-}
-
-SharingCapacityResult RunSharingSweep() {
-  PrintHeader("Stream sharing: Zipf(1.0) capacity, unique streams vs shared groups",
-              "DESIGN.md section 5.6 (beyond-paper popularity-aware delivery)");
-  SharingCapacityResult result;
-  result.viewers_offered = 66;  // 3x the 22-stream unique cap of one MSU
-  result.titles = 6;
-  result.zipf_skew = 1.0;
-  const SimTime checkpoint = FastBenchMode() ? SimTime::Seconds(8) : SimTime::Seconds(12);
-
-  // Fixed seed: both modes see the identical request sequence.
-  std::vector<int> picks;
-  Rng rng(1996);
-  ZipfDistribution zipf(static_cast<size_t>(result.titles), result.zipf_skew);
-  for (int i = 0; i < result.viewers_offered; ++i) {
-    picks.push_back(static_cast<int>(zipf.Sample(rng)));
-  }
-
-  result.baseline_served =
-      ServeZipfViewers(false, picks, result.titles, checkpoint, nullptr, nullptr);
-  result.shared_served = ServeZipfViewers(true, picks, result.titles, checkpoint,
-                                          &result.groups_formed, &result.cache_attaches);
-
-  AsciiTable table({"mode", "viewers offered", "served per MSU", "disk streams"});
-  table.AddRow({"unique", std::to_string(result.viewers_offered),
-                std::to_string(result.baseline_served), std::to_string(result.baseline_served)});
-  table.AddRow({"shared", std::to_string(result.viewers_offered),
-                std::to_string(result.shared_served),
-                std::to_string(result.groups_formed)});
-  std::printf("%s\n", table.Render().c_str());
-  std::printf("Zipf(%.1f) over %d titles: the unique-stream baseline hits the disk budget\n",
-              result.zipf_skew, result.titles);
-  std::printf("at %d viewers; batching the popularity head onto %lld shared delivery\n",
-              result.baseline_served, static_cast<long long>(result.groups_formed));
-  std::printf("streams (+%lld interval-cache attaches) serves %d — %.1fx the viewers per\n",
-              static_cast<long long>(result.cache_attaches), result.shared_served,
-              result.ratio());
-  std::printf("MSU on the same hardware (acceptance floor: 2x).\n\n");
-  return result;
-}
-
-// ---- dynamic rebalancing: flash crowd, static vs dynamic replicas ----------
-//
-// The rebalancing claim (DESIGN.md §5.8): a flash crowd hits one title whose
-// only replica lives on one of two MSUs, oversubscribing that disk's duty
-// cycle. With the static replica set the overflow viewers stay queued for the
-// whole run; with background rebalancing enabled the planner copies the hot
-// title to the idle MSU over a rate-limited background stream and the queue
-// drains — convergence time is the copy install plus the admission retry.
-
-struct RebalanceCrowdResult {
-  bool rebalance = false;
-  int viewers = 0;
-  int admitted = 0;            // receiving immediately, before any copy
-  int queued = 0;              // parked in the admission queue at request time
-  int served = 0;              // ports receiving media at the checkpoint
-  int rejected = 0;            // still starved at the checkpoint
-  int64_t copies_started = 0;
-  int64_t copies_installed = 0;
-  int64_t demotions = 0;
-  int64_t convergence_us = -1;  // first sim instant every viewer is receiving
-  int64_t p50_lateness_us = 0;  // worst live-stream p50 at the checkpoint
-  int64_t p99_lateness_us = 0;  // worst live-stream p99 at the checkpoint
-};
-
-RebalanceCrowdResult RunFlashCrowd(bool rebalance, SimTime checkpoint) {
-  RebalanceCrowdResult result;
-  result.rebalance = rebalance;
-  result.viewers = 8;
-
-  InstallationConfig config;
-  config.msu_count = 2;
-  config.msu_machine.disks_per_hba = {1};
-  // 5 MPEG-1 streams per disk: a crowd of 8 oversubscribes the one replica.
-  config.coordinator.disk_budget = DataRate::MegabytesPerSec(1.0);
-  config.coordinator.rebalance.enabled = rebalance;
-  // 2x the stream rate: ~30 s to copy the 60 s title, and the copy's duty
-  // slot still fits on the source disk next to the 5 live streams.
-  config.coordinator.rebalance.copy_rate = DataRate::MegabitsPerSec(3);
-  // Fast popularity decay so the dynamic replica cools and demotes within
-  // the bench window once the crowd disperses.
-  config.coordinator.sharing.popularity_halflife = SimTime::Seconds(5);
-  Installation calliope(config);
-  if (!calliope.Boot().ok()) {
-    return result;
-  }
-  (void)calliope.LoadMpegMovie("hot", SimTime::Seconds(60), 0, false, 0);
-
-  CalliopeClient& client = calliope.AddClient("crowd");
-  bool connected = false;
-  [](CalliopeClient* c, bool* flag) -> Task {
-    *flag = (co_await c->Connect("bob", "bob-key")).ok();
-  }(&client, &connected);
-  RunSimUntil(calliope.sim(), [&] { return connected; }, SimTime::Seconds(5));
-
-  const SimTime crowd_at = calliope.sim().Now();
-  std::vector<std::unique_ptr<PlaybackHandle>> handles;
-  for (int i = 0; i < result.viewers; ++i) {
-    handles.push_back(std::make_unique<PlaybackHandle>());
-    StartPlayback(client, "hot", "ctv" + std::to_string(i), "mpeg1", handles.back().get());
-  }
-  RunSimUntil(calliope.sim(),
-              [&] {
-                for (const auto& handle : handles) {
-                  if (!handle->done) {
-                    return false;
-                  }
-                }
-                return true;
-              },
-              SimTime::Seconds(10));
-  for (const auto& handle : handles) {
-    if (handle->failed) {
-      continue;
-    }
-    ++(handle->queued ? result.queued : result.admitted);
-  }
-
-  // Convergence: the first instant the admission queue is empty and every
-  // viewer's port is receiving media.
-  const auto all_receiving = [&] {
-    if (calliope.coordinator().pending_request_count() > 0) {
-      return false;
-    }
-    for (int i = 0; i < result.viewers; ++i) {
-      ClientDisplayPort* port = client.FindPort("ctv" + std::to_string(i));
-      if (port == nullptr || port->packets_received() == 0) {
-        return false;
-      }
-    }
-    return true;
-  };
-  if (RunSimUntil(calliope.sim(), all_receiving, checkpoint, SimTime::Millis(100))) {
-    result.convergence_us = (calliope.sim().Now() - crowd_at).micros();
-  }
-  if (calliope.sim().Now() < crowd_at + checkpoint) {
-    calliope.sim().RunFor(crowd_at + checkpoint - calliope.sim().Now());
-  }
-
-  for (int i = 0; i < result.viewers; ++i) {
-    ClientDisplayPort* port = client.FindPort("ctv" + std::to_string(i));
-    ++(port != nullptr && port->packets_received() > 0 ? result.served : result.rejected);
-  }
-  const ClusterReport report = calliope.BuildClusterReport();
-  for (const StreamQosReport& stream : report.streams) {
-    if (stream.finished) {
-      continue;
-    }
-    result.p50_lateness_us = std::max(result.p50_lateness_us, stream.p50_lateness_us);
-    result.p99_lateness_us = std::max(result.p99_lateness_us, stream.p99_lateness_us);
-  }
-  result.copies_started = calliope.metrics().counter("coord.rebalance.copies_started").value();
-  result.copies_installed =
-      calliope.metrics().counter("coord.rebalance.copies_installed").value();
-
-  // Crowd disperses: quit everything, let the popularity EWMA cool, and the
-  // planner should demote the now-cold dynamic replica.
-  for (const auto& handle : handles) {
-    if (!handle->failed && !client.GroupTerminated(handle->group)) {
-      [](CalliopeClient* c, GroupId group) -> Task {
-        co_await c->Quit(group);
-      }(&client, handle->group);
-    }
-  }
-  RunSimUntil(calliope.sim(),
-              [&] { return calliope.coordinator().active_stream_count() == 0; },
-              SimTime::Seconds(10));
-  if (rebalance) {
-    RunSimUntil(calliope.sim(),
-                [&] {
-                  return calliope.metrics().counter("coord.rebalance.demotions").value() >= 1;
-                },
-                SimTime::Seconds(40), SimTime::Millis(250));
-    result.demotions = calliope.metrics().counter("coord.rebalance.demotions").value();
-  }
-  return result;
-}
-
-struct RebalanceSweepResult {
-  RebalanceCrowdResult off;  // static replica set
-  RebalanceCrowdResult on;   // background rebalancing enabled
-  bool accepted() const {
-    return off.rejected > 0 && on.rejected == 0 && on.convergence_us >= 0 &&
-           on.copies_installed >= 1 && on.p99_lateness_us < SimTime::Millis(50).micros();
-  }
-};
-
-RebalanceSweepResult RunRebalanceSweep() {
-  PrintHeader("Dynamic rebalancing: flash crowd, static vs dynamic replica sets",
-              "DESIGN.md section 5.8 (beyond-paper hot-title replication)");
-  RebalanceSweepResult result;
-  const SimTime checkpoint = SimTime::Seconds(45);  // copy installs ~32 s in
-  result.off = RunFlashCrowd(false, checkpoint);
-  result.on = RunFlashCrowd(true, checkpoint);
-
-  AsciiTable table({"replica set", "viewers", "admitted", "queued", "served @45s",
-                    "starved @45s", "copies", "converged", "p99 late"});
-  const auto add_row = [&](const RebalanceCrowdResult& r) {
-    char converged[32], late[32];
-    if (r.convergence_us >= 0) {
-      std::snprintf(converged, sizeof(converged), "%.1f s", r.convergence_us / 1e6);
-    } else {
-      std::snprintf(converged, sizeof(converged), "never");
-    }
-    std::snprintf(late, sizeof(late), "%.1f ms", r.p99_lateness_us / 1e3);
-    table.AddRow({r.rebalance ? "dynamic" : "static", std::to_string(r.viewers),
-                  std::to_string(r.admitted), std::to_string(r.queued),
-                  std::to_string(r.served), std::to_string(r.rejected),
-                  std::to_string(r.copies_installed), converged, late});
-  };
-  add_row(result.off);
-  add_row(result.on);
-  std::printf("%s\n", table.Render().c_str());
-  std::printf("One 1 MB/s disk admits 5 MPEG-1 streams; the crowd of %d oversubscribes\n",
-              result.on.viewers);
-  std::printf("the single replica. Static: %d viewers starve for the whole run. Dynamic:\n",
-              result.off.rejected);
-  std::printf("the planner copies the hot title to the idle MSU at 3 Mbit/s in the\n");
-  std::printf("background, the queue drains at %.1f s, and the cold replica is demoted\n",
-              result.on.convergence_us >= 0 ? result.on.convergence_us / 1e6 : -1.0);
-  std::printf("(%lld demotion%s) after the crowd disperses — all without pushing any\n",
-              static_cast<long long>(result.on.demotions), result.on.demotions == 1 ? "" : "s");
-  std::printf("live viewer past the 50 ms lateness SLO (worst p99: %.1f ms).\n\n",
-              result.on.p99_lateness_us / 1e3);
-  return result;
-}
-
-// ---- overload control: saturation sweep, shedding on vs off ----------------
-//
-// The overload-control claim (DESIGN.md §5.9): offered load at ~2x the disk's
-// duty-cycle capacity. With traffic control off the pending queue grows
-// unchecked and the pending-depth SLO breaches. With it on, the saturation
-// governor sheds standard/bulk queued load (explicit notices, never
-// interactive) and interactive sessions keep their lateness SLO.
-
-struct LoadRunResult {
-  bool shedding = false;
-  int64_t offered = 0;             // sessions the generator launched
-  int64_t started = 0;             // requests that reached a served stream
-  int64_t refused_interactive = 0;
-  int64_t refused_standard = 0;
-  int64_t refused_bulk = 0;
-  int64_t shed_interactive = 0;    // governor + queue-cap sheds, per class
-  int64_t shed_standard = 0;
-  int64_t shed_bulk = 0;
-  int64_t shed_episodes = 0;
-  int64_t breach_episodes = 0;     // pending-depth SLO
-  int64_t worst_depth = 0;
-  int64_t interactive_started = 0;
-  int64_t interactive_p99_us = 0;  // worst interactive stream p99 lateness
-  double goodput_pct() const {
-    return offered > 0 ? 100.0 * static_cast<double>(started) / static_cast<double>(offered)
-                       : 0.0;
-  }
-};
-
-LoadRunResult RunSaturatedWorkload(bool shedding, uint64_t seed) {
-  LoadRunResult result;
-  result.shedding = shedding;
-
-  InstallationConfig config;
-  config.seed = seed;
-  config.msu_count = 1;
-  config.msu_machine.disks_per_hba = {1};
-  // Five concurrent MPEG-1 viewers fit on the single disk.
-  config.coordinator.disk_budget = DataRate::MegabytesPerSec(1.0);
-  config.sampler.period = SimTime::Millis(250);
-  SloSpec depth;
-  depth.name = "queue-depth";
-  depth.signal = SloSpec::Signal::kPendingDepth;
-  depth.threshold = 3;
-  depth.min_breach_windows = 2;
-  config.slos.push_back(depth);
-  if (shedding) {
-    config.coordinator.traffic.enabled = true;
-    // Long queue deadlines: the governor's shedding, not expiry, bounds the
-    // backlog, so the comparison isolates the policy.
-    config.coordinator.traffic.interactive_deadline = SimTime::Seconds(120);
-    config.coordinator.traffic.standard_deadline = SimTime::Seconds(120);
-    config.coordinator.traffic.bulk_deadline = SimTime::Seconds(120);
-  }
-  Installation calliope(config);
-  if (!calliope.Boot().ok()) {
-    return result;
-  }
-
-  // ~1.7 arrivals/s x ~6 s mean hold ~= 10 concurrent stream-equivalents
-  // against 5 slots: saturated, not just busy.
-  WorkloadConfig workload;
-  workload.seed = seed;
-  workload.titles = 3;
-  workload.archive_titles = 1;
-  workload.client_hosts = 3;
-  workload.phases = {WorkloadPhase(SimTime::Seconds(18), 1.7)};
-  workload.viewer_hold_mean = SimTime::Seconds(6);
-  workload.surfer_hold_mean = SimTime::Seconds(4);
-  workload.recording_length = SimTime::Seconds(2);
-  workload.ready_timeout = SimTime::Seconds(25);
-  WorkloadDriver driver(calliope, workload);
-  if (!driver.Prepare().ok()) {
-    return result;
-  }
-  driver.Start();
-  RunSimUntil(calliope.sim(), [&] { return driver.done(); }, SimTime::Seconds(120));
-
-  const WorkloadStats& stats = driver.stats();
-  result.offered = stats.arrivals;
-  result.started = stats.started;
-  const size_t interactive = static_cast<size_t>(AdmissionClass::kInteractive);
-  const size_t standard = static_cast<size_t>(AdmissionClass::kStandard);
-  const size_t bulk = static_cast<size_t>(AdmissionClass::kBulk);
-  result.refused_interactive = stats.refused_by_class[interactive];
-  result.refused_standard = stats.refused_by_class[standard];
-  result.refused_bulk = stats.refused_by_class[bulk];
-  result.interactive_started = stats.started_by_class[interactive];
-  if (shedding) {
-    result.shed_interactive =
-        calliope.metrics().counter("coord.admission.interactive.shed").value();
-    result.shed_standard = calliope.metrics().counter("coord.admission.standard.shed").value();
-    result.shed_bulk = calliope.metrics().counter("coord.admission.bulk.shed").value();
-    result.shed_episodes = calliope.metrics().counter("coord.shed.episodes").value();
-  }
-  const ClusterReport report = calliope.BuildClusterReport();
-  if (report.timeline.has_value()) {
-    for (const SloBreachReport& slo : report.timeline->slos) {
-      if (slo.name == "queue-depth") {
-        result.breach_episodes = slo.breach_episodes;
-        result.worst_depth = slo.worst_value;
-      }
-    }
-  }
-  for (GroupId group : driver.started_groups(AdmissionClass::kInteractive)) {
-    for (const StreamQosReport& stream : report.streams) {
-      if (stream.group_id == group && stream.p99_lateness_us > result.interactive_p99_us) {
-        result.interactive_p99_us = stream.p99_lateness_us;
-      }
-    }
-  }
-  return result;
-}
-
-struct LoadSweepResult {
-  LoadRunResult off;  // traffic control disabled: backlog grows, SLO breaches
-  LoadRunResult on;   // shedding: interactive protected, lower classes shed
-  bool accepted() const {
-    return on.shed_episodes >= 1 && on.shed_interactive == 0 &&
-           on.shed_standard + on.shed_bulk > 0 && on.refused_interactive == 0 &&
-           on.interactive_started > 0 &&
-           on.interactive_p99_us <= SimTime::Millis(20).micros() && off.breach_episodes >= 1 &&
-           off.worst_depth > on.worst_depth;
-  }
-};
-
-LoadSweepResult RunLoadSweep() {
-  PrintHeader("Overload control: saturated workload, shedding on vs off",
-              "DESIGN.md section 5.9 (beyond-paper traffic control)");
-  LoadSweepResult result;
-  const uint64_t seed = 1;
-  result.off = RunSaturatedWorkload(false, seed);
-  result.on = RunSaturatedWorkload(true, seed);
-
-  AsciiTable table({"mode", "offered", "started", "goodput", "refused i/s/b", "shed i/s/b",
-                    "depth breaches", "worst depth", "interactive p99"});
-  const auto add_row = [&](const LoadRunResult& r) {
-    char goodput[32], refused[48], shed[48], late[32];
-    std::snprintf(goodput, sizeof(goodput), "%.0f%%", r.goodput_pct());
-    std::snprintf(refused, sizeof(refused), "%lld/%lld/%lld",
-                  static_cast<long long>(r.refused_interactive),
-                  static_cast<long long>(r.refused_standard),
-                  static_cast<long long>(r.refused_bulk));
-    std::snprintf(shed, sizeof(shed), "%lld/%lld/%lld",
-                  static_cast<long long>(r.shed_interactive),
-                  static_cast<long long>(r.shed_standard),
-                  static_cast<long long>(r.shed_bulk));
-    std::snprintf(late, sizeof(late), "%.1f ms", r.interactive_p99_us / 1e3);
-    table.AddRow({r.shedding ? "shed" : "off", std::to_string(r.offered),
-                  std::to_string(r.started), goodput, refused, shed,
-                  std::to_string(r.breach_episodes), std::to_string(r.worst_depth), late});
-  };
-  add_row(result.off);
-  add_row(result.on);
-  std::printf("%s\n", table.Render().c_str());
-  std::printf("A 1 MB/s disk serves 5 MPEG-1 streams; the generator offers ~2x that.\n");
-  std::printf("Off: the pending queue grows to %lld and the depth SLO breaches %lld\n",
-              static_cast<long long>(result.off.worst_depth),
-              static_cast<long long>(result.off.breach_episodes));
-  std::printf("time(s). Shed: the governor fires (%lld episode%s), refuses only\n",
-              static_cast<long long>(result.on.shed_episodes),
-              result.on.shed_episodes == 1 ? "" : "s");
-  std::printf("standard/bulk load with explicit notices (%lld shed, interactive: 0),\n",
-              static_cast<long long>(result.on.shed_standard + result.on.shed_bulk));
-  std::printf("and every interactive session stays within the lateness SLO\n");
-  std::printf("(worst p99: %.1f ms).\n\n", result.on.interactive_p99_us / 1e3);
-  return result;
-}
-
-void WriteLoadJson(std::FILE* file, const LoadSweepResult& load) {
-  const auto write_run = [&](const char* key, const LoadRunResult& r, const char* tail) {
-    std::fprintf(file,
-                 "    \"%s\": {\"offered\": %lld, \"started\": %lld, \"goodput_pct\": %.1f, "
-                 "\"refused_interactive\": %lld, \"refused_standard\": %lld, "
-                 "\"refused_bulk\": %lld, \"shed_interactive\": %lld, \"shed_standard\": %lld, "
-                 "\"shed_bulk\": %lld, \"shed_episodes\": %lld, \"depth_breach_episodes\": %lld, "
-                 "\"worst_depth\": %lld, \"interactive_started\": %lld, "
-                 "\"interactive_p99_lateness_us\": %lld}%s\n",
-                 key, static_cast<long long>(r.offered), static_cast<long long>(r.started),
-                 r.goodput_pct(), static_cast<long long>(r.refused_interactive),
-                 static_cast<long long>(r.refused_standard),
-                 static_cast<long long>(r.refused_bulk),
-                 static_cast<long long>(r.shed_interactive),
-                 static_cast<long long>(r.shed_standard), static_cast<long long>(r.shed_bulk),
-                 static_cast<long long>(r.shed_episodes),
-                 static_cast<long long>(r.breach_episodes),
-                 static_cast<long long>(r.worst_depth),
-                 static_cast<long long>(r.interactive_started),
-                 static_cast<long long>(r.interactive_p99_us), tail);
-  };
-  std::fprintf(file,
-               "  \"load\": {\"disk_capacity_streams\": 5, \"offered_multiple\": 2.0, "
-               "\"accepted\": %s,\n",
-               load.accepted() ? "true" : "false");
-  write_run("unshed", load.off, ",");
-  write_run("shed", load.on, "");
-  std::fprintf(file, "  },\n");
-}
-
-// ---- continuous telemetry: disk-slowdown fault as an SLO breach ------------
-//
-// One MSU serving a handful of streams with the MetricsSampler running; a
-// kDiskSlow fault window opens mid-play and the lateness-p99 SLO must go into
-// breach, with its first/last breach timestamps bracketed by the fault window.
-
-struct TelemetryResult {
-  TimelineReport timeline;
-  SimTime fault_start;
-  SimTime fault_end;
-  bool breached = false;
-  bool bracketed = false;
-};
-
-TelemetryResult RunTelemetryScenario(const std::string& csv_path) {
-  PrintHeader("Continuous telemetry: windowed QoS timelines and SLO monitors",
-              "DESIGN.md section 5.7 (beyond-paper observability)");
-  TelemetryResult result;
-
-  InstallationConfig config;
-  config.msu_count = 1;
-  config.msu_machine.disks_per_hba = {2};
-  config.sampler.period = SimTime::Millis(500);
-  SloSpec p99;
-  p99.name = "lateness-p99";
-  p99.signal = SloSpec::Signal::kLatenessP99;
-  p99.threshold = SimTime::Millis(25).micros();
-  // No debouncing: a slowed disk delivers late pages as discrete catch-up
-  // bursts, so breaching windows alternate with starved-empty ones and a
-  // consecutive-window filter would mask exactly the fault this scenario
-  // exists to localize.
-  p99.min_breach_windows = 1;
-  SloSpec gap;
-  gap.name = "delivery-gap";
-  gap.signal = SloSpec::Signal::kMaxGap;
-  gap.threshold = SimTime::Millis(500).micros();
-  config.slos = {p99, gap};
-  Installation calliope(config);
-  if (!calliope.Boot().ok()) {
-    return result;
-  }
-  const SimTime play_span = FastBenchMode() ? SimTime::Seconds(8) : SimTime::Seconds(12);
-  const int streams = 8;
-  for (int i = 0; i < streams; ++i) {
-    (void)calliope.LoadMpegMovie("t" + std::to_string(i), play_span + SimTime::Seconds(2), 0,
-                                 false, i % 2);
-  }
-
-  CalliopeClient& client = calliope.AddClient("viewers");
-  bool connected = false;
-  [](CalliopeClient* c, bool* flag) -> Task {
-    *flag = (co_await c->Connect("bob", "bob-key")).ok();
-  }(&client, &connected);
-  RunSimUntil(calliope.sim(), [&] { return connected; }, SimTime::Seconds(5));
-
-  std::vector<std::unique_ptr<PlaybackHandle>> handles;
-  for (int i = 0; i < streams; ++i) {
-    handles.push_back(std::make_unique<PlaybackHandle>());
-    StartPlayback(client, "t" + std::to_string(i), "tv" + std::to_string(i), "mpeg1",
-                  handles.back().get());
-  }
-  RunSimUntil(calliope.sim(), [&] { return handles.back()->done; }, SimTime::Seconds(10));
-
-  // The fault window opens a third of the way in and outlives the playbacks,
-  // so every breach window the catch-up tail produces still falls inside it.
-  FaultEvent fault;
-  fault.what = FaultClass::kDiskSlow;
-  fault.at = calliope.sim().Now() + play_span / 3;
-  fault.duration = play_span * 2;
-  fault.node = "msu0";
-  fault.disk = -1;
-  // Just above the per-page playback span (~1.37 s at MPEG-1 rates with
-  // 256 KB pages): the disk falls behind continuously, so lateness climbs
-  // and stays up for the rest of the fault window instead of collapsing
-  // into one catch-up burst.
-  fault.delay = SimTime::Millis(1600);
-  result.fault_start = fault.at;
-  result.fault_end = fault.end();
-  FaultPlan plan;
-  plan.events.push_back(fault);
-  (void)calliope.ApplyFaultPlan(std::move(plan));
-
-  calliope.sim().RunFor(play_span);
-  result.timeline = calliope.BuildClusterReport().timeline.value();
-
-  AsciiTable table({"SLO", "threshold (us)", "windows", "breached", "episodes",
-                    "first breach", "last breach", "worst value"});
-  for (const SloBreachReport& slo : result.timeline.slos) {
-    table.AddRow({slo.name, std::to_string(slo.threshold),
-                  std::to_string(slo.windows_evaluated), std::to_string(slo.breach_windows),
-                  std::to_string(slo.breach_episodes),
-                  SimTime::Micros(slo.first_breach_us).ToString(),
-                  SimTime::Micros(slo.last_breach_us).ToString(),
-                  std::to_string(slo.worst_value)});
-    if (slo.name == "lateness-p99" && slo.breach_windows > 0) {
-      result.breached = true;
-      result.bracketed = slo.first_breach_us >= result.fault_start.micros() &&
-                         slo.last_breach_us <= result.fault_end.micros();
-    }
-  }
-  std::printf("%s\n", table.Render().c_str());
-  std::printf("Disk slowdown window: %s .. %s; the lateness-p99 breach is %sbracketed\n",
-              result.fault_start.ToString().c_str(), result.fault_end.ToString().c_str(),
-              result.bracketed ? "" : "NOT ");
-  std::printf("by it — the SLO monitor localizes the fault in simulated time.\n\n");
-  if (!csv_path.empty()) {
-    const Status written = calliope.sampler()->WriteCsv(csv_path);
-    if (written.ok()) {
-      std::printf("(wrote %s)\n", csv_path.c_str());
-    } else {
-      std::fprintf(stderr, "%s\n", written.ToString().c_str());
-    }
-  }
-  return result;
-}
-
-void WriteTelemetryJson(std::FILE* file, const TelemetryResult& telemetry) {
-  const TimelineReport& t = telemetry.timeline;
-  std::fprintf(file,
-               "  \"telemetry\": {\"window_us\": %lld, \"windows\": %lld, "
-               "\"fault_start_us\": %lld, \"fault_end_us\": %lld, "
-               "\"breach_bracketed\": %s, \"slos\": [",
-               static_cast<long long>(t.window_us), static_cast<long long>(t.windows),
-               static_cast<long long>(telemetry.fault_start.micros()),
-               static_cast<long long>(telemetry.fault_end.micros()),
-               telemetry.bracketed ? "true" : "false");
-  for (size_t i = 0; i < t.slos.size(); ++i) {
-    const SloBreachReport& slo = t.slos[i];
-    std::fprintf(file,
-                 "%s{\"name\": \"%s\", \"threshold\": %lld, \"breach_windows\": %lld, "
-                 "\"breach_episodes\": %lld, \"first_breach_us\": %lld, "
-                 "\"last_breach_us\": %lld, \"worst_value\": %lld}",
-                 i > 0 ? ", " : "", slo.name.c_str(), static_cast<long long>(slo.threshold),
-                 static_cast<long long>(slo.breach_windows),
-                 static_cast<long long>(slo.breach_episodes),
-                 static_cast<long long>(slo.first_breach_us),
-                 static_cast<long long>(slo.last_breach_us),
-                 static_cast<long long>(slo.worst_value));
-  }
-  std::fprintf(file, "]},\n");
-}
-
-void WriteRebalanceJson(std::FILE* file, const RebalanceSweepResult& rebalance) {
-  const auto write_run = [&](const char* key, const RebalanceCrowdResult& r, const char* tail) {
-    std::fprintf(file,
-                 "    \"%s\": {\"admitted\": %d, \"queued\": %d, \"served_at_checkpoint\": %d, "
-                 "\"rejected_at_checkpoint\": %d, \"convergence_us\": %lld, "
-                 "\"copies_started\": %lld, \"copies_installed\": %lld, \"demotions\": %lld, "
-                 "\"p50_lateness_us\": %lld, \"p99_lateness_us\": %lld}%s\n",
-                 key, r.admitted, r.queued, r.served, r.rejected,
-                 static_cast<long long>(r.convergence_us),
-                 static_cast<long long>(r.copies_started),
-                 static_cast<long long>(r.copies_installed),
-                 static_cast<long long>(r.demotions),
-                 static_cast<long long>(r.p50_lateness_us),
-                 static_cast<long long>(r.p99_lateness_us), tail);
-  };
-  std::fprintf(file,
-               "  \"rebalance\": {\"viewers\": %d, \"disk_capacity_streams\": 5, "
-               "\"checkpoint_us\": %lld, \"accepted\": %s,\n",
-               rebalance.on.viewers, static_cast<long long>(SimTime::Seconds(45).micros()),
-               rebalance.accepted() ? "true" : "false");
-  write_run("static", rebalance.off, ",");
-  write_run("dynamic", rebalance.on, "");
-  std::fprintf(file, "  },\n");
-}
-
-void WriteFidelityJson(const std::string& path, const std::vector<FidelityRunResult>& runs,
-                       double speedup_8msu, const SharingCapacityResult* sharing,
-                       const TelemetryResult* telemetry,
-                       const RebalanceSweepResult* rebalance,
-                       const LoadSweepResult* load = nullptr) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(file, "{\n");
-  std::fprintf(file, "  \"bench\": \"scaleout_fidelity\",\n");
-  std::fprintf(file, "  \"fast_mode\": %s,\n", FastBenchMode() ? "true" : "false");
-  std::fprintf(file, "  \"runs\": [\n");
-  for (size_t i = 0; i < runs.size(); ++i) {
-    const FidelityRunResult& r = runs[i];
-    std::fprintf(file,
-                 "    {\"mode\": \"%s\", \"msus\": %d, \"streams\": %d, "
-                 "\"sim_seconds\": %.1f, \"wall_seconds\": %.3f, \"events\": %lld, "
-                 "\"events_per_sec\": %.0f, \"sim_seconds_per_wall_sec\": %.3f, "
-                 "\"stream_seconds_per_core_sec\": %.1f, "
-                 "\"events_per_stream_sim_second\": %.2f, "
-                 "\"coordinator_cpu\": %.4f}%s\n",
-                 r.mode, r.msus, r.streams, r.sim_seconds, r.wall_seconds,
-                 static_cast<long long>(r.events), r.events_per_sec(), r.sim_seconds_per_sec(),
-                 r.stream_seconds_per_core_sec(), r.events_per_stream_sim_second(),
-                 r.coordinator_cpu, i + 1 < runs.size() ? "," : "");
-  }
-  std::fprintf(file, "  ],\n");
-  if (telemetry != nullptr) {
-    WriteTelemetryJson(file, *telemetry);
-  }
-  if (rebalance != nullptr) {
-    WriteRebalanceJson(file, *rebalance);
-  }
-  if (load != nullptr) {
-    WriteLoadJson(file, *load);
-  }
-  if (sharing != nullptr) {
-    std::fprintf(file,
-                 "  \"sharing\": {\"viewers_offered\": %d, \"titles\": %d, "
-                 "\"zipf_skew\": %.2f, "
-                 "\"baseline_max_concurrent_viewers_per_msu\": %d, "
-                 "\"shared_max_concurrent_viewers_per_msu\": %d, "
-                 "\"groups_formed\": %lld, \"cache_attaches\": %lld, "
-                 "\"viewers_per_msu_ratio\": %.2f},\n",
-                 sharing->viewers_offered, sharing->titles, sharing->zipf_skew,
-                 sharing->baseline_served, sharing->shared_served,
-                 static_cast<long long>(sharing->groups_formed),
-                 static_cast<long long>(sharing->cache_attaches), sharing->ratio());
-  }
-  std::fprintf(file, "  \"events_per_stream_speedup_8msu\": %.2f\n", speedup_8msu);
-  std::fprintf(file, "}\n");
-  std::fclose(file);
-  std::printf("(wrote %s)\n", path.c_str());
-}
-
-int RunFidelitySweep(const std::string& json_path, const SharingCapacityResult* sharing,
-                     const TelemetryResult* telemetry, const RebalanceSweepResult* rebalance,
-                     const LoadSweepResult* load = nullptr) {
-  PrintHeader("Hybrid fidelity: simulator throughput, per-packet vs flow mode",
-              "DESIGN.md section 5.5 (beyond-paper scale-out)");
-  const SimTime window = FastBenchMode() ? SimTime::Seconds(5) : SimTime::Seconds(20);
-
-  std::vector<FidelityRunResult> runs;
-  AsciiTable table({"mode", "MSUs", "streams", "events/s", "sim-s per s",
-                    "stream-s per core-s", "events per stream-s", "coord CPU"});
-  const auto add_row = [&](const FidelityRunResult& r) {
-    char ev[32], simrate[32], streamrate[32], cost[32], coord[32];
-    std::snprintf(ev, sizeof(ev), "%.0f", r.events_per_sec());
-    std::snprintf(simrate, sizeof(simrate), "%.2f", r.sim_seconds_per_sec());
-    std::snprintf(streamrate, sizeof(streamrate), "%.0f", r.stream_seconds_per_core_sec());
-    std::snprintf(cost, sizeof(cost), "%.2f", r.events_per_stream_sim_second());
-    std::snprintf(coord, sizeof(coord), "%.1f%%", 100.0 * r.coordinator_cpu);
-    table.AddRow({r.mode, std::to_string(r.msus), std::to_string(r.streams), ev, simrate,
-                  streamrate, cost, coord});
-  };
-
-  double packet_cost_8msu = 0;
-  double flow_cost_8msu = 0;
-  for (Fidelity mode : {Fidelity::kPacket, Fidelity::kFlow}) {
-    for (int msus : {1, 2, 4, 8}) {
-      const FidelityRunResult r =
-          RunFidelityWorkload(mode, msus, 22, window, SimTime::Seconds(30));
-      if (msus == 8) {
-        (mode == Fidelity::kFlow ? flow_cost_8msu : packet_cost_8msu) =
-            r.events_per_stream_sim_second();
-      }
-      add_row(r);
-      runs.push_back(r);
-    }
-  }
-  // The headline run: 200 MSUs x 52 streams = 10,400 concurrent streams,
-  // feasible only in flow mode.
-  const FidelityRunResult big =
-      RunFidelityWorkload(Fidelity::kFlow, 200, 52, window, SimTime::Seconds(120));
-  add_row(big);
-  runs.push_back(big);
-
-  const double speedup = flow_cost_8msu > 0 ? packet_cost_8msu / flow_cost_8msu : 0;
-  std::printf("%s\n", table.Render().c_str());
-  std::printf("Flow mode replaces ~8 events per packet with ~1 event per chunk; at the\n");
-  std::printf("8-MSU Graph-1 working point one stream-second costs %.1fx fewer events\n",
-              speedup);
-  std::printf("(acceptance floor: 10x), which is what lets the 200-MSU row above exist.\n");
-  WriteFidelityJson(json_path, runs, speedup, sharing, telemetry, rebalance, load);
-  const bool sharing_ok = sharing == nullptr || sharing->ratio() >= 2.0;
-  const bool telemetry_ok = telemetry == nullptr || telemetry->bracketed;
-  const bool rebalance_ok = rebalance == nullptr || rebalance->accepted();
-  const bool load_ok = load == nullptr || load->accepted();
-  return big.streams >= 10000 && speedup >= 10.0 && sharing_ok && telemetry_ok &&
-                 rebalance_ok && load_ok
-             ? 0
-             : 1;
-}
-
 }  // namespace
 }  // namespace calliope
 
@@ -1175,14 +198,6 @@ int main(int argc, char** argv) {
   std::string policy_flag = "all";
   bool failover_only = false;
   bool print_report = false;
-  bool fidelity = false;
-  bool fidelity_only = false;
-  bool sharing = false;
-  bool slo = false;
-  bool rebalance = false;
-  bool load_sweep = false;
-  std::string timeline_csv;
-  std::string json_path = "BENCH_scaleout.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--policy=", 9) == 0) {
       policy_flag = argv[i] + 9;
@@ -1190,92 +205,11 @@ int main(int argc, char** argv) {
       failover_only = true;
     } else if (std::strcmp(argv[i], "--report") == 0) {
       print_report = true;
-    } else if (std::strcmp(argv[i], "--fidelity") == 0) {
-      fidelity = true;
-    } else if (std::strcmp(argv[i], "--fidelity-only") == 0) {
-      fidelity = fidelity_only = true;
-    } else if (std::strcmp(argv[i], "--sharing") == 0) {
-      sharing = true;
-    } else if (std::strcmp(argv[i], "--slo") == 0) {
-      slo = true;
-    } else if (std::strcmp(argv[i], "--rebalance") == 0) {
-      rebalance = true;
-    } else if (std::strcmp(argv[i], "--load") == 0) {
-      load_sweep = true;
-    } else if (std::strncmp(argv[i], "--timeline-csv=", 15) == 0) {
-      timeline_csv = argv[i] + 15;
-      slo = true;  // the CSV comes out of the SLO scenario
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--policy=<name|all>] [--failover-only] [--report]\n"
-                   "          [--fidelity | --fidelity-only] [--sharing] [--slo]\n"
-                   "          [--rebalance] [--load] [--timeline-csv=PATH] [--json=PATH]\n",
+      std::fprintf(stderr, "usage: %s [--policy=<name|all>] [--failover-only] [--report]\n",
                    argv[0]);
       return 2;
     }
-  }
-  // --load alone runs just the saturation sweep; combined with
-  // --fidelity(-only) the overload section rides along in the JSON.
-  if (load_sweep && !fidelity && !rebalance && !sharing && !slo) {
-    const LoadSweepResult result = RunLoadSweep();
-    WriteFidelityJson(json_path, {}, 0.0, nullptr, nullptr, nullptr, &result);
-    return result.accepted() ? 0 : 1;
-  }
-  // --slo alone runs just the telemetry scenario; combined with
-  // --fidelity(-only) its verdicts ride along in the JSON.
-  if (slo && !fidelity && !rebalance) {
-    const TelemetryResult result = RunTelemetryScenario(timeline_csv);
-    WriteFidelityJson(json_path, {}, 0.0, nullptr, &result, nullptr);
-    return result.breached && result.bracketed ? 0 : 1;
-  }
-  // --sharing alone runs just the Zipf capacity sweep; combined with
-  // --fidelity(-only) the shared-capacity section rides along in the JSON.
-  if (sharing && !fidelity && !rebalance) {
-    const SharingCapacityResult result = RunSharingSweep();
-    WriteFidelityJson(json_path, {}, 0.0, &result, nullptr, nullptr);
-    return result.ratio() >= 2.0 ? 0 : 1;
-  }
-  // --rebalance alone runs just the flash-crowd sweep; combined with
-  // --fidelity(-only) the rebalance section rides along in the JSON.
-  if (rebalance && !fidelity) {
-    const RebalanceSweepResult result = RunRebalanceSweep();
-    SharingCapacityResult sharing_result;
-    TelemetryResult telemetry_result;
-    if (sharing) {
-      sharing_result = RunSharingSweep();
-    }
-    if (slo) {
-      telemetry_result = RunTelemetryScenario(timeline_csv);
-    }
-    WriteFidelityJson(json_path, {}, 0.0, sharing ? &sharing_result : nullptr,
-                      slo ? &telemetry_result : nullptr, &result);
-    const bool sharing_ok = !sharing || sharing_result.ratio() >= 2.0;
-    const bool telemetry_ok = !slo || (telemetry_result.breached && telemetry_result.bracketed);
-    return result.accepted() && sharing_ok && telemetry_ok ? 0 : 1;
-  }
-  if (fidelity_only) {
-    SharingCapacityResult sharing_result;
-    if (sharing) {
-      sharing_result = RunSharingSweep();
-    }
-    TelemetryResult telemetry_result;
-    if (slo) {
-      telemetry_result = RunTelemetryScenario(timeline_csv);
-    }
-    RebalanceSweepResult rebalance_result;
-    if (rebalance) {
-      rebalance_result = RunRebalanceSweep();
-    }
-    LoadSweepResult load_result;
-    if (load_sweep) {
-      load_result = RunLoadSweep();
-    }
-    return RunFidelitySweep(json_path, sharing ? &sharing_result : nullptr,
-                            slo ? &telemetry_result : nullptr,
-                            rebalance ? &rebalance_result : nullptr,
-                            load_sweep ? &load_result : nullptr);
   }
   std::vector<std::string> policies;
   if (policy_flag == "all") {
@@ -1283,6 +217,7 @@ int main(int argc, char** argv) {
   } else {
     policies.push_back(policy_flag);
   }
+  bool accepted = true;
 
   if (!failover_only) {
     PrintHeader("Scale-out: aggregate capacity vs number of MSUs",
@@ -1297,6 +232,12 @@ int main(int argc, char** argv) {
       std::snprintf(pct, sizeof(pct), "%.1f", result.pct_within_50ms);
       std::snprintf(cpu, sizeof(cpu), "%.2f%%", result.coordinator_cpu * 100.0);
       table.AddRow({std::to_string(result.msus), std::to_string(result.streams), mb, pct, cpu});
+      // Every MSU must carry the full Graph-1 working load.
+      if (result.streams < 22 * msus) {
+        std::fprintf(stderr, "scaleout: %d MSUs admitted %d streams, fewer than 22 per MSU\n",
+                     msus, result.streams);
+        accepted = false;
+      }
     }
     std::printf("%s\n", table.Render().c_str());
     std::printf("Each MSU carries the Graph-1 working load (22 x 1.5 Mbit/s); capacity\n");
@@ -1318,6 +259,12 @@ int main(int argc, char** argv) {
     failover.AddRow({result.policy, std::to_string(result.started),
                      std::to_string(result.lost), std::to_string(result.resumed), pct,
                      result.ledger_balanced ? "yes" : "NO"});
+    if (result.resumed < result.lost || !result.ledger_balanced) {
+      std::fprintf(stderr, "scaleout: policy %s resumed %d of %d streams, ledger %s\n",
+                   result.policy.c_str(), result.resumed, result.lost,
+                   result.ledger_balanced ? "balanced" : "NOT balanced");
+      accepted = false;
+    }
   }
   std::printf("%s\n", failover.Render().c_str());
   std::printf("Every movie is mirrored on both MSUs; when one crashes, the Coordinator\n");
@@ -1331,28 +278,5 @@ int main(int argc, char** argv) {
                 "https://ui.perfetto.dev\n",
                 trace_env);
   }
-  if (fidelity) {
-    std::printf("\n");
-    SharingCapacityResult sharing_result;
-    if (sharing) {
-      sharing_result = RunSharingSweep();
-    }
-    TelemetryResult telemetry_result;
-    if (slo) {
-      telemetry_result = RunTelemetryScenario(timeline_csv);
-    }
-    RebalanceSweepResult rebalance_result;
-    if (rebalance) {
-      rebalance_result = RunRebalanceSweep();
-    }
-    LoadSweepResult load_result;
-    if (load_sweep) {
-      load_result = RunLoadSweep();
-    }
-    return RunFidelitySweep(json_path, sharing ? &sharing_result : nullptr,
-                            slo ? &telemetry_result : nullptr,
-                            rebalance ? &rebalance_result : nullptr,
-                            load_sweep ? &load_result : nullptr);
-  }
-  return 0;
+  return accepted ? 0 : 1;
 }

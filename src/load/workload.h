@@ -8,7 +8,7 @@
 // WorkloadDriver then executes a schedule against a live Installation from
 // inside the simulation: every client call is a sim coroutine, so a run is a
 // pure function of (seed, binary) and composes with the chaos harness, the
-// ctest suites and bench/scaleout.
+// ctest suites and perfbench.
 //
 // Session kinds map onto the Coordinator's admission classes:
 //   channel surfer  -> kInteractive  (VCR-heavy, short attention span)
