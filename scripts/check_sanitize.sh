@@ -10,7 +10,7 @@
 # that and guards the few std::thread touchpoints in the harness).
 # e.g. `scripts/check_sanitize.sh build-asan -R chaos` to sweep only the
 # seeded chaos tests under the sanitizers. The one ctest pass covers every
-# label (fidelity, sharing, slo, rebalance, load, ha); the simulator is
+# label (fidelity, sharing, slo, rebalance, load, ha, bench); the simulator is
 # deterministic, so re-running a label under the same sanitizer finds
 # nothing new.
 set -euo pipefail

@@ -1,28 +1,29 @@
 #!/usr/bin/env bash
-# Runs the scaleout bench's flash-crowd rebalancing sweep — the same crowd of
-# viewers against a static replica set (overflow starves) and against the
-# background rebalancer (hot title is copied to the idle MSU, the queue
-# drains) — and prints where the JSON verdicts landed. Usage:
+# Runs the flash-crowd rebalancing acceptance test with tracing on — the same
+# crowd of viewers against the background rebalancer (the hot title is copied
+# to the idle MSU and the queue drains) and against a static replica set (the
+# overflow starves) — and prints where the per-installation Chrome traces
+# landed. Usage:
 #
 #   scripts/rebalance_demo.sh [build-dir]
 #
-# Override the JSON output path with CALLIOPE_REBALANCE_JSON=/path/to/out.json.
+# Override the trace output path with CALLIOPE_TRACE=/path/to/trace.json.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
-OUT="${CALLIOPE_REBALANCE_JSON:-${PWD}/BENCH_scaleout.json}"
+OUT="${CALLIOPE_TRACE:-${PWD}/trace_rebalance.json}"
 
 cmake -B "${BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "${BUILD_DIR}" -j "$(nproc)" --target scaleout
+cmake --build "${BUILD_DIR}" -j "$(nproc)" --target rebalance_test
 
-"${BUILD_DIR}/bench/scaleout" --rebalance --json="${OUT}"
+# The test runs two installations, each writing its own suffixed trace:
+# rebalancing on, then the static replica set.
+CALLIOPE_TRACE="${OUT}" "${BUILD_DIR}/tests/rebalance_test" \
+  --gtest_filter='RebalanceTest.FlashCrowdConvergesOnlyWithRebalancing'
 
 echo
-echo "Static-vs-dynamic flash-crowd verdicts written to: ${OUT}"
-echo "(rebalance section: admissions, rejections at the checkpoint,"
-echo "convergence time, copies installed/demoted, lateness quantiles)."
-echo
-echo "Watch the copy itself in a Chrome trace:"
-echo "  CALLIOPE_TRACE=rebalance_trace.json ${BUILD_DIR}/bench/scaleout --rebalance"
-echo "then open rebalance_trace.json at https://ui.perfetto.dev"
+echo "Chrome traces written next to ${OUT}, one per installation in run order"
+echo "(the first keeps the name, the second inserts .2 before the extension):"
+ls -1 "${OUT%.*}"*
+echo "Open them at https://ui.perfetto.dev (or chrome://tracing)."
