@@ -2,13 +2,16 @@
 //
 // The primary Coordinator ships a deterministic operation log (session
 // open/close, port registration, admission decisions, group/stream
-// lifecycle, pending-queue changes, ledger deltas — see the ReplRecord
-// variant in src/net/message.h) to a standby over the simulated network,
-// Harp-style (Liskov et al., SOSP '91). The standby replays the records into
-// shadow state, so on takeover it already holds every session, active
-// stream, queued request and the full resource ledger: admitted streams keep
-// playing, queued requests stay queued, in-flight recordings are not
-// orphaned.
+// lifecycle, shared delivery groups, share batches and member splits,
+// pending-queue changes, background copies — see the ReplRecord variant in
+// src/net/message.h) to a standby over the simulated network, Harp-style
+// (Liskov et al., SOSP '91). Each record is the only write of its change:
+// the primary applies it as it appends it (Coordinator::Replicate), and the
+// standby applies the same record with the same code (Coordinator::Apply).
+// So on takeover the standby already holds every session, active stream,
+// shared group, open batch, queued request and the full resource ledger:
+// admitted streams keep playing, queued requests stay queued, in-flight
+// recordings are not orphaned.
 //
 // Fencing is epoch-numbered and lease-based (Gray & Cheriton):
 //   * Exactly one coordinator owns each epoch. MSUs and clients learn the

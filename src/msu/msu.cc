@@ -658,16 +658,21 @@ Co<MessageBody> Msu::SplitSharedMember(MsuStream& stream, GroupId group, VcrComm
 }
 
 Task Msu::SendSplitToCoordinator(SharedMemberSplit split) {
-  if (crashed_ || coordinator_conn_ == nullptr || coordinator_conn_->closed()) {
-    // No primary reachable: the member's progress records let failover resume
-    // it as a unique stream once a coordinator is back.
+  if (crashed_) {
     co_return;
   }
-  auto response = co_await coordinator_conn_->Call(MessageBody{std::move(split)});
-  if (!response.ok()) {
-    CALLIOPE_LOG(kWarning, "msu") << node_->name() << ": shared-member split lost: "
-                                  << response.status().ToString();
+  if (coordinator_conn_ != nullptr && !coordinator_conn_->closed()) {
+    auto response = co_await coordinator_conn_->Call(MessageBody{split});
+    const auto* ack = response.ok() ? std::get_if<SimpleResponse>(&response->body) : nullptr;
+    if (ack != nullptr && ack->ok) {
+      co_return;
+    }
   }
+  // No primary took it (none reachable, or a failover in between): the
+  // Coordinator still holds the member's shared hold, so the split is owed
+  // to whichever primary we register with next. A repeat is harmless — the
+  // Coordinator ignores a split for a member it no longer tracks.
+  QueueReplNote(MessageBody{std::move(split)});
 }
 
 void Msu::EmitMemberTermination(MsuStream& stream, const SharedMemberState& member) {

@@ -426,6 +426,8 @@ class Msu {
   // Detaches `group`'s member for a quit: emits its termination note and
   // stops the delivery stream when the last member leaves.
   Co<MessageBody> QuitSharedMember(MsuStream& stream, GroupId group);
+  // Reports a split to the primary; one no primary took is spooled with the
+  // replica notes, so a takeover window cannot leak the member's shared hold.
   Task SendSplitToCoordinator(SharedMemberSplit split);
   // Termination bookkeeping for one shared member: its note to the
   // Coordinator, its group entry and control connection.

@@ -163,19 +163,25 @@ struct SizeVisitor {
       }
       Bytes operator()(const ReplMsuUp& r) const { return Bytes(40) + StringBytes(r.node); }
       Bytes operator()(const ReplMsuDown& r) const { return Bytes(8) + StringBytes(r.node); }
+      Bytes operator()(const ReplStreamStarted& r) const {
+        return Bytes(80) + StringBytes(r.msu) + StringBytes(r.content_item);
+      }
       Bytes operator()(const ReplGroupStarted& r) const {
-        Bytes size = Bytes(24) + StringBytes(r.msu) + RequestBytes(r.request);
-        for (const ReplStreamMember& member : r.members) {
-          size += Bytes(56) + StringBytes(member.content_item);
-        }
-        return size;
+        return Bytes(8) + RequestBytes(r.request);
       }
       Bytes operator()(const ReplStreamEnded&) const { return Bytes(24); }
       Bytes operator()(const ReplGroupEnded&) const { return Bytes(16); }
+      Bytes operator()(const ReplSharedGroupFormed& r) const {
+        return Bytes(48) + StringBytes(r.msu) + StringBytes(r.content) + StringBytes(r.file);
+      }
+      Bytes operator()(const SharedMemberSplit& m) const { return SizeVisitor{}(m); }
+      Bytes operator()(const ReplBatchJoined& r) const { return RequestBytes(r.request); }
+      Bytes operator()(const ReplBatchFlushed& r) const { return StringBytes(r.content); }
       Bytes operator()(const ReplPendingPushed& r) const {
         return Bytes(8) + RequestBytes(r.request);
       }
       Bytes operator()(const ReplPendingPopped&) const { return Bytes(16); }
+      Bytes operator()(const ReplPendingReordered&) const { return Bytes(8); }
       Bytes operator()(const ReplReplicationStarted& r) const {
         return Bytes(48) + StringBytes(r.content) + StringBytes(r.source_msu) +
                StringBytes(r.source_file) + StringBytes(r.target_msu) +

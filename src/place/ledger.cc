@@ -102,6 +102,15 @@ void ResourceLedger::Txn::Commit(size_t index, StreamId stream) {
   }
 }
 
+void ResourceLedger::Txn::CommitNext(StreamId stream) {
+  for (size_t index = 0; index < committed_.size(); ++index) {
+    if (!committed_[index]) {
+      Commit(index, stream);
+      return;
+    }
+  }
+}
+
 // ---- ResourceLedger ----
 
 void ResourceLedger::RegisterMsu(const std::string& node, int disk_count,

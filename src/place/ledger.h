@@ -113,6 +113,9 @@ class ResourceLedger {
     // Converts item `index` into a per-stream hold; `stream`'s bandwidth and
     // space now stay debited until Release(stream).
     void Commit(size_t index, StreamId stream);
+    // Commit() of the first item not yet committed: callers that commit in
+    // reservation order need not track indices.
+    void CommitNext(StreamId stream);
 
    private:
     friend class ResourceLedger;

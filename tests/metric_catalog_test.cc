@@ -228,12 +228,12 @@ TEST(MetricCatalogTest, EveryPublishedMetricIsDocumentedAndViceVersa) {
 
   {
     // Full-feature installation A: HA standby + rebalancing + faults +
-    // sampler + SLO. Sharing is requested so the explicit HA force-disable
-    // (coord.sharing.disabled_ha) is published too.
+    // sampler + SLO + stream sharing with an interval cache.
     InstallationConfig config;
     config.msu_count = 2;
     config.standby_coordinator = true;
     config.coordinator.sharing.enabled = true;
+    config.msu.cache_memory = Bytes::MiB(16);
     config.coordinator.rebalance.enabled = true;
     config.sampler.period = SimTime::Millis(500);
     SloSpec slo;
@@ -248,18 +248,7 @@ TEST(MetricCatalogTest, EveryPublishedMetricIsDocumentedAndViceVersa) {
     MergeSnapshot(calliope.metrics().Snapshot(), published);
   }
   {
-    // Installation B: stream sharing + interval cache (sharing is force-
-    // disabled under HA, so it needs its own installation).
-    InstallationConfig config;
-    config.msu_count = 1;
-    config.coordinator.sharing.enabled = true;
-    config.msu.cache_memory = Bytes::MiB(16);
-    Installation calliope(config);
-    ASSERT_TRUE(calliope.Boot().ok());
-    MergeSnapshot(calliope.metrics().Snapshot(), published);
-  }
-  {
-    // Installation C: traffic control (admission classes + shedding) and the
+    // Installation B: traffic control (admission classes + shedding) and the
     // workload generator's load.* instruments.
     InstallationConfig config;
     config.msu_count = 1;

@@ -460,26 +460,5 @@ TEST(RebalanceTest, ChaosPrimaryFlipMidReplicationKeepsThePlan) {
       << standby->ledger().CheckInvariants().ToString();
 }
 
-// Satellite regression: requesting sharing together with an HA standby is a
-// silent downgrade no more — the force-disable is counted (and logged).
-TEST(RebalanceTest, SharingDisabledUnderHaIsExplicit) {
-  InstallationConfig config;
-  config.msu_count = 1;
-  config.standby_coordinator = true;
-  config.coordinator.sharing.enabled = true;
-  TestCluster cluster(config);
-  ASSERT_TRUE(cluster.Boot().ok());
-  EXPECT_EQ(CounterValue(cluster, "coord.sharing.disabled_ha"), 1);
-  EXPECT_EQ(CounterValue(cluster, "coord2.sharing.disabled_ha"), 1);
-
-  // And without HA the counter never exists: sharing runs, nothing degraded.
-  InstallationConfig plain;
-  plain.msu_count = 1;
-  plain.coordinator.sharing.enabled = true;
-  TestCluster solo(plain);
-  ASSERT_TRUE(solo.Boot().ok());
-  EXPECT_EQ(CounterValue(solo, "coord.sharing.disabled_ha"), 0);
-}
-
 }  // namespace
 }  // namespace calliope
