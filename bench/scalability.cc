@@ -39,9 +39,11 @@ class FakeMsu {
     }
     conn_ = *conn;
     conn_->set_request_handler([this](const MessageBody& body) -> Co<MessageBody> {
-      if (const auto* start = std::get_if<MsuStartStream>(&body)) {
-        TerminateLater(start->stream, start->group, start->file, start->disk_hint);
-        co_return MessageBody{MsuStartStreamResponse{true, ""}};
+      if (const auto* start = std::get_if<MsuStartGroup>(&body)) {
+        for (const MsuStreamSpec& stream : start->streams) {
+          TerminateLater(stream.stream, start->group, stream.file, stream.disk_hint);
+        }
+        co_return MessageBody{MsuStartGroupResponse{true, ""}};
       }
       co_return MessageBody{SimpleResponse{true, ""}};
     });

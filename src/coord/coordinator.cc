@@ -664,56 +664,32 @@ Co<Status> Coordinator::TryStartGroup(const PendingRequest& request) {
   if (!placement.ok()) {
     co_return placement.status();
   }
-  const std::string chosen_msu = placement->msu;
-  if (msus_[chosen_msu].conn == nullptr) {
-    // Up in the inherited ledger but not redialed since a takeover: wait in
-    // the queue for its registration (or for the rejoin grace to expire).
-    co_return ResourceExhaustedError("msu " + chosen_msu + " has not reconnected");
-  }
 
-  // Reserve the whole group's bandwidth and space *before* contacting the
-  // MSU: "As the Coordinator assigns resources to clients, it keeps track of
-  // load by processor and disk." Requests racing with this one must see the
-  // updated load, or they would all be admitted against stale numbers. The
-  // transaction refunds whatever is not committed below.
-  std::vector<ResourceLedger::ReserveItem> reserve_items;
-  for (size_t i = 0; i < components.size(); ++i) {
-    reserve_items.push_back(ResourceLedger::ReserveItem{
-        placement->disks[i], spec->components[i].rate, spec->components[i].space});
-  }
-  auto reservation = ledger_.Reserve(chosen_msu, std::move(reserve_items));
-  if (!reservation.ok()) {
-    co_return reservation.status();
-  }
-  ResourceLedger::Txn txn = std::move(reservation).value();
-
-  // Launch every member. The first member's stream carries the group's VCR
-  // control connection.
-  std::vector<StreamId> started;
+  // One MSU hosts every member of the group; the first member's client node
+  // carries the group's VCR control connection.
+  LaunchPlan plan;
+  plan.msu = placement->msu;
+  plan.start.group = request.group;
+  plan.start.client_control_port = request.port.control_port;
+  plan.start.start_paused = request.start_paused;
+  plan.requests.push_back(request);
   for (size_t i = 0; i < components.size(); ++i) {
     const Component& component = components[i];
-    MsuStartStream start;
-    start.epoch = wire_epoch();
-    start.group = request.group;
-    start.stream = next_stream_++;
-    start.file = !request.record && !placement->files[i].empty() ? placement->files[i]
-                                                                 : component.file_name;
-    auto component_type = catalog_->FindType(component.type_name);
-    start.protocol = (*component_type)->protocol;
-    start.rate = spec->components[i].rate;
-    start.record = request.record;
-    start.estimated_length = request.estimated_length;
-    start.disk_hint = placement->disks[i];
-    start.client_node = component.port.node;
-    start.client_udp_port = component.port.udp_port;
-    start.client_control_port = request.port.control_port;
-    start.open_control_conn = (i == 0);
-    start.start_paused = request.start_paused;
+    MsuStreamSpec& stream = plan.start.streams.emplace_back();
+    stream.file = !request.record && !placement->files[i].empty() ? placement->files[i]
+                                                                  : component.file_name;
+    stream.protocol = (*catalog_->FindType(component.type_name))->protocol;
+    stream.rate = spec->components[i].rate;
+    stream.record = request.record;
+    stream.estimated_length = request.estimated_length;
+    stream.disk_hint = placement->disks[i];
+    stream.client_node = component.port.node;
+    stream.client_udp_port = component.port.udp_port;
     if (i < request.start_offsets.size()) {
-      start.start_offset = request.start_offsets[i];
+      stream.start_offset = request.start_offsets[i];
     }
-    if (!request.record) {
-      auto content = catalog_->FindContent(component.item_name);
+    auto content = catalog_->FindContent(component.item_name);
+    if (!request.record && content.ok()) {
       // Dynamic replicas carry no fast-scan variants (only the title's data
       // file is copied); a stream served from one falls back to skip-mode
       // scans rather than dangling file references (DESIGN §5.8).
@@ -721,57 +697,25 @@ Co<Status> Coordinator::TryStartGroup(const PendingRequest& request) {
       for (const ContentLocation& location : (*content)->locations) {
         const std::string& copy_file =
             location.file_name.empty() ? (*content)->file_name : location.file_name;
-        if (location.dynamic && location.msu_node == chosen_msu && copy_file == start.file) {
+        if (location.dynamic && location.msu_node == plan.msu && copy_file == stream.file) {
           dynamic_copy = true;
         }
       }
       if (!dynamic_copy) {
-        start.fast_forward_file = (*content)->fast_forward_file;
-        start.fast_backward_file = (*content)->fast_backward_file;
+        stream.fast_forward_file = (*content)->fast_forward_file;
+        stream.fast_backward_file = (*content)->fast_backward_file;
       }
     }
-
-    // The MSU may have died while earlier members were starting.
-    MsuInfo& msu = msus_[chosen_msu];
-    const auto* ack = static_cast<const MsuStartStreamResponse*>(nullptr);
-    Result<Envelope> response = UnavailableError("msu went down mid-launch");
-    if (ledger_.IsUp(chosen_msu) && msu.conn != nullptr) {
-      response = co_await msu.conn->Call(MessageBody{start});
-      ack = response.ok() ? std::get_if<MsuStartStreamResponse>(&response->body) : nullptr;
-    }
-    if (ack == nullptr || !ack->ok) {
-      // The transaction's destructor refunds this member and the members
-      // never launched; started members unwind through HandleStreamTerminated
-      // (an MSU failure mid-launch may have ended them already).
-      for (StreamId id : started) {
-        auto it = active_streams_.find(id);
-        if (it == active_streams_.end()) {
-          continue;
-        }
-        StreamTerminated undo;
-        undo.stream = id;
-        undo.group = request.group;
-        undo.file = it->second.content_item;
-        undo.was_recording = request.record;
-        undo.disk = it->second.disk;
-        HandleStreamTerminated(undo);
-      }
-      co_return InternalError("msu refused stream: " +
-                              (ack != nullptr ? ack->error : response.status().ToString()));
-    }
-
-    ActiveStream active;
-    active.stream = start.stream;
-    active.group = request.group;
-    active.msu = chosen_msu;
-    active.disk = placement->disks[i];
-    active.component = static_cast<int>(i);
-    active.content_item = component.item_name;
-    active.recording = request.record;
-    active.session = request.session;
-    active.rate = spec->components[i].rate;
-    active.space = spec->components[i].space;
-    active.offset = start.start_offset;
+    ActiveStream& hold = plan.streams.emplace_back();
+    hold.msu = plan.msu;
+    hold.disk = placement->disks[i];
+    hold.component = static_cast<int>(i);
+    hold.content_item = component.item_name;
+    hold.recording = request.record;
+    hold.session = request.session;
+    hold.rate = stream.rate;
+    hold.space = spec->components[i].space;
+    hold.offset = stream.start_offset;
     if (request.record) {
       // New catalog entry, playable once the recording completes.
       ContentRecord record;
@@ -779,16 +723,10 @@ Co<Status> Coordinator::TryStartGroup(const PendingRequest& request) {
       record.type_name = component.type_name;
       record.file_name = component.file_name;
       record.recording_in_progress = true;
-      record.locations.push_back(ContentLocation{chosen_msu, placement->disks[i]});
-      (void)catalog_->AddContent(std::move(record));
+      record.locations.push_back(ContentLocation{plan.msu, placement->disks[i]});
+      plan.recordings.push_back(std::move(record));
     }
-    Replicate(ReplRecord{std::move(active)}, &txn);
-    started.push_back(start.stream);
   }
-
-  // Remember what started this group so an MSU failure can re-place it.
-  Replicate(ReplRecord{ReplGroupStarted(request.group, request)});
-
   if (request.record && components.size() > 1) {
     // Parent composite record pointing at the component items.
     ContentRecord parent;
@@ -798,7 +736,74 @@ Co<Status> Coordinator::TryStartGroup(const PendingRequest& request) {
     for (const Component& component : components) {
       parent.component_items.push_back(component.item_name);
     }
-    (void)catalog_->AddContent(std::move(parent));
+    plan.recordings.push_back(std::move(parent));
+  }
+  co_return co_await Launch(std::move(plan));
+}
+
+Co<Status> Coordinator::Launch(LaunchPlan plan) {
+  TcpConn* conn = msus_[plan.msu].conn;
+  if (conn == nullptr) {
+    // Up in the inherited ledger but not redialed since a takeover: wait in
+    // the queue for its registration (or for the rejoin grace to expire).
+    co_return ResourceExhaustedError("msu " + plan.msu + " has not reconnected");
+  }
+  // Reserve every hold *before* contacting the MSU: "As the Coordinator
+  // assigns resources to clients, it keeps track of load by processor and
+  // disk." Requests racing with this one must see the updated load, or they
+  // would all be admitted against stale numbers. The transaction refunds
+  // whatever is not committed below.
+  std::vector<ResourceLedger::ReserveItem> items;
+  for (const ActiveStream& hold : plan.streams) {
+    items.push_back(ResourceLedger::ReserveItem{hold.disk, hold.rate, hold.space, hold.cache});
+  }
+  auto reservation = ledger_.Reserve(plan.msu, std::move(items));
+  if (!reservation.ok()) {
+    co_return reservation.status();
+  }
+  ResourceLedger::Txn txn = std::move(reservation).value();
+
+  // Ids are minted once the holds are in place: the group (a shared delivery
+  // group gets its own), then each stream followed by its shared members.
+  if (plan.start.group == 0) {
+    plan.start.group = next_group_++;
+  }
+  auto hold = plan.streams.begin();
+  for (MsuStreamSpec& stream : plan.start.streams) {
+    stream.stream = next_stream_++;
+    hold->stream = stream.stream;
+    (hold++)->group = plan.start.group;
+    for (SharedMemberSpec& member : stream.shared_members) {
+      member.stream = next_stream_++;
+      (hold++)->stream = member.stream;
+    }
+  }
+  plan.start.epoch = wire_epoch();
+  const Result<Envelope> response = co_await conn->Call(MessageBody{plan.start});
+  const auto* ack = response.ok() ? std::get_if<MsuStartGroupResponse>(&response->body) : nullptr;
+  if (ack == nullptr || !ack->ok) {
+    // The MSU started none of the group; the transaction refunds every hold.
+    co_return InternalError("msu refused stream group: " +
+                            (ack != nullptr ? ack->error : response.status().ToString()));
+  }
+
+  // The whole group runs: log it in one synchronous block, so no record of a
+  // half-started group can ever reach the oplog.
+  for (ContentRecord& record : plan.recordings) {
+    (void)catalog_->AddContent(std::move(record));
+  }
+  for (ActiveStream& stream : plan.streams) {
+    Replicate(ReplRecord{std::move(stream)}, &txn);
+  }
+  if (plan.shared.has_value()) {
+    plan.shared->delivery_stream = plan.start.streams.front().stream;
+    plan.shared->started_at = machine_->sim().Now();
+    Replicate(ReplRecord{std::move(*plan.shared)});
+  }
+  // Remember what started each group so an MSU failure can re-place it.
+  for (PendingRequest& request : plan.requests) {
+    const GroupId group = request.group;
+    Replicate(ReplRecord{ReplGroupStarted(group, std::move(request))});
   }
   co_return OkStatus();
 }
@@ -952,62 +957,39 @@ Co<Status> Coordinator::StartCacheAttach(PendingRequest request, SharedGroup tar
   if (!type.ok()) {
     co_return type.status();
   }
+  LaunchPlan plan;
+  plan.msu = target.msu;
+  plan.start.group = request.group;
+  plan.start.client_control_port = request.port.control_port;
+  MsuStreamSpec& stream = plan.start.streams.emplace_back();
+  stream.file = target.file;
+  stream.protocol = (*type)->protocol;
+  stream.rate = target.rate;
+  stream.disk_hint = target.disk;
+  stream.client_node = request.port.node;
+  stream.client_udp_port = request.port.udp_port;
+  stream.fast_forward_file = (*record)->fast_forward_file;
+  stream.fast_backward_file = (*record)->fast_backward_file;
+  stream.from_cache = true;
+  stream.pin_prefix = IsHot(request.content);
   // The interval cache must hold everything between this viewer (starting at
   // zero) and the leader's current position; charge that many bytes against
   // the MSU's cache budget, plus NIC bandwidth for the extra send. No disk
   // bandwidth: the reads come from memory.
-  const SimTime gap = machine_->sim().Now() - target.started_at;
-  const Bytes interval = target.rate.BytesIn(gap) + kDataPageSize;
-  auto reservation = ledger_.Reserve(
-      target.msu, {ResourceLedger::ReserveItem{ResourceLedger::kSharedDisk, target.rate,
-                                               Bytes(), interval}});
-  if (!reservation.ok()) {
-    co_return reservation.status();
-  }
-  ResourceLedger::Txn txn = std::move(reservation).value();
-
-  MsuStartStream start;
-  start.epoch = wire_epoch();
-  start.group = request.group;
-  start.stream = next_stream_++;
-  start.file = target.file;
-  start.protocol = (*type)->protocol;
-  start.rate = target.rate;
-  start.disk_hint = target.disk;
-  start.client_node = request.port.node;
-  start.client_udp_port = request.port.udp_port;
-  start.client_control_port = request.port.control_port;
-  start.open_control_conn = true;
-  start.fast_forward_file = (*record)->fast_forward_file;
-  start.fast_backward_file = (*record)->fast_backward_file;
-  start.from_cache = true;
-  start.pin_prefix = IsHot(request.content);
-
-  MsuInfo& msu = msus_[target.msu];
-  Result<Envelope> response = UnavailableError("serving msu went away");
-  if (ledger_.IsUp(target.msu) && msu.conn != nullptr) {
-    response = co_await msu.conn->Call(MessageBody{start});
-  }
-  const auto* ack = response.ok() ? std::get_if<MsuStartStreamResponse>(&response->body) : nullptr;
-  if (ack == nullptr || !ack->ok) {
-    // Txn destructor refunds the cache hold; the caller falls back to a batch.
-    co_return InternalError("msu refused cache attach: " +
-                            (ack != nullptr ? ack->error : response.status().ToString()));
-  }
-
-  ActiveStream active;
-  active.stream = start.stream;
-  active.group = request.group;
-  active.msu = target.msu;
-  active.disk = ResourceLedger::kSharedDisk;
-  active.content_item = request.content;
-  active.session = request.session;
-  active.rate = target.rate;
-  active.cache = interval;
-  Replicate(ReplRecord{std::move(active)}, &txn);
+  ActiveStream& hold = plan.streams.emplace_back();
+  hold.msu = target.msu;
+  hold.disk = ResourceLedger::kSharedDisk;
+  hold.content_item = request.content;
+  hold.session = request.session;
+  hold.rate = target.rate;
+  hold.cache = target.rate.BytesIn(machine_->sim().Now() - target.started_at) + kDataPageSize;
   // The plain request is remembered: if the MSU dies this viewer fails over
   // as an ordinary unique stream (a fresh disk hold elsewhere).
-  Replicate(ReplRecord{ReplGroupStarted(request.group, request)});
+  plan.requests.push_back(request);
+  const Status attached = co_await Launch(std::move(plan));
+  if (!attached.ok()) {
+    co_return attached;  // the caller falls back to a batch
+  }
   if (groups_attaches_ != nullptr) {
     groups_attaches_->Add();
   }
@@ -1042,157 +1024,98 @@ Co<void> Coordinator::StartSharedGroup(std::string content,
     if (FindSession(request.session).ok()) {
       live.push_back(std::move(request));
     } else {
-      Replicate(ReplRecord{ReplPendingPopped(request.group, /*retrying=*/false)});
-      CountRequestLost();  // client left during the batch window
+      DropRequest(std::move(request), UnavailableError("session closed"));
     }
   }
   if (live.empty()) {
     co_return;
   }
 
-  // Degraded exit: park every waiter in the pending queue; each retries as a
-  // unique stream through the historical path.
-  auto queue_all = [this, &live] {
-    for (PendingRequest& request : live) {
-      if (!EnqueuePending(request)) {
-        Replicate(ReplRecord{ReplPendingPopped(request.group, /*retrying=*/false)});
-        CountRequestLost();
-        NotifyRequestFailed(std::move(request), UnavailableError("admission queue full"));
-      }
-    }
-    RetryPendingQueue();
-  };
-  auto fail_all = [this, &live](const Status& error) {
-    for (PendingRequest& request : live) {
-      Replicate(ReplRecord{ReplPendingPopped(request.group, /*retrying=*/false)});
-      CountRequestLost();
-      NotifyRequestFailed(request, error);
-    }
-  };
-
   const SimTime admit_start = machine_->sim().Now();
   auto session = FindSession(live.front().session);
   auto resolved = ResolveComponents(live.front(), **session);
-  if (!resolved.ok()) {
-    fail_all(resolved.status());
-    co_return;
+  Result<PlacementSpec> spec = resolved.status();
+  if (resolved.ok()) {
+    spec = BuildPlacementSpec(live.front(), *resolved);
   }
-  const Component& component = resolved->front();  // eligibility => exactly one
-  auto spec = BuildPlacementSpec(live.front(), *resolved);
-  if (!spec.ok()) {
-    fail_all(spec.status());
-    co_return;
+  Result<Placement> placement = spec.status();
+  if (spec.ok()) {
+    placement = policy_->Place(*spec, ledger_);
   }
-  auto placement = policy_->Place(*spec, ledger_);
-  if (!placement.ok()) {
-    if (placement.status().code() == StatusCode::kResourceExhausted) {
-      queue_all();
-    } else {
-      fail_all(placement.status());
-    }
-    co_return;
-  }
-  const std::string chosen_msu = placement->msu;
-  const DataRate rate = spec->components[0].rate;
-  MsuInfo& msu = msus_[chosen_msu];
-  if (msu.conn == nullptr) {
-    // Up in the inherited ledger but not redialed since a takeover: reopen
-    // the batch for another window rather than split the group up.
-    const bool reopen = !share_batches_.contains(content);
+  Status started = placement.status();
+  if (placement.ok()) {
+    // One disk-bandwidth hold feeds the whole group; every member charges
+    // NIC bandwidth only (kSharedDisk) — that is the entire point of sharing.
+    const Component& component = resolved->front();  // eligibility => exactly one
+    LaunchPlan plan;
+    plan.msu = placement->msu;
+    MsuStreamSpec& stream = plan.start.streams.emplace_back();
+    stream.file = !placement->files[0].empty() ? placement->files[0] : component.file_name;
+    stream.protocol = (*catalog_->FindType(component.type_name))->protocol;
+    stream.rate = spec->components[0].rate;
+    stream.disk_hint = placement->disks[0];
+    auto record = catalog_->FindContent(component.item_name);
+    stream.fast_forward_file = (*record)->fast_forward_file;
+    stream.fast_backward_file = (*record)->fast_backward_file;
+    stream.pin_prefix = IsHot(content);
+    // The delivery stream holds the disk bandwidth. Its group deliberately
+    // has no group_requests_ entry: if the MSU dies, MarkMsuDown releases
+    // the hold and drops it silently while each member fails over on its own.
+    ActiveStream delivery;
+    delivery.msu = plan.msu;
+    delivery.disk = placement->disks[0];
+    delivery.content_item = component.item_name;
+    delivery.rate = stream.rate;
+    plan.streams.push_back(delivery);
     for (const PendingRequest& request : live) {
-      Replicate(ReplRecord{ReplBatchJoined(request)});
+      SharedMemberSpec& member = stream.shared_members.emplace_back();
+      member.group = request.group;
+      member.client_node = request.port.node;
+      member.client_udp_port = request.port.udp_port;
+      member.client_control_port = request.port.control_port;
+      ActiveStream& viewer = plan.streams.emplace_back(delivery);
+      viewer.disk = ResourceLedger::kSharedDisk;
+      viewer.group = request.group;
+      viewer.session = request.session;
     }
-    if (reopen) {
-      FlushShareBatch(content);
+    SharedGroup& shared = plan.shared.emplace();
+    shared.msu = plan.msu;
+    shared.disk = placement->disks[0];
+    shared.content = content;
+    shared.file = stream.file;
+    shared.rate = stream.rate;
+    shared.member_count = static_cast<int>(live.size());
+    plan.requests = live;
+    started = co_await Launch(std::move(plan));
+    if (started.code() == StatusCode::kResourceExhausted &&
+        msus_[placement->msu].conn == nullptr) {
+      // Up in the inherited ledger but not redialed since a takeover: reopen
+      // the batch for another window rather than split the group up.
+      const bool reopen = !share_batches_.contains(content);
+      for (const PendingRequest& request : live) {
+        Replicate(ReplRecord{ReplBatchJoined(request)});
+      }
+      if (reopen) {
+        FlushShareBatch(content);
+      }
+      co_return;
+    }
+  }
+  if (!started.ok()) {
+    // Degraded exit: with no room, or when the MSU refused the group, every
+    // waiter queues and retries as a unique stream; other errors drop them.
+    if (started.code() == StatusCode::kInternal) {
+      started = ResourceExhaustedError(started.message());
+    }
+    for (PendingRequest& request : live) {
+      RequeueOrDrop(std::move(request), started);
+    }
+    if (started.code() == StatusCode::kResourceExhausted) {
+      RetryPendingQueue();
     }
     co_return;
   }
-
-  // One disk-bandwidth hold feeds the whole group; every member charges NIC
-  // bandwidth only (kSharedDisk) — that is the entire point of sharing.
-  std::vector<ResourceLedger::ReserveItem> items;
-  items.push_back(ResourceLedger::ReserveItem{placement->disks[0], rate, Bytes()});
-  for (size_t i = 0; i < live.size(); ++i) {
-    items.push_back(ResourceLedger::ReserveItem{ResourceLedger::kSharedDisk, rate, Bytes(),
-                                                Bytes()});
-  }
-  auto reservation = ledger_.Reserve(chosen_msu, std::move(items));
-  if (!reservation.ok()) {
-    if (reservation.status().code() == StatusCode::kResourceExhausted) {
-      queue_all();
-    } else {
-      fail_all(reservation.status());
-    }
-    co_return;
-  }
-  ResourceLedger::Txn txn = std::move(reservation).value();
-
-  MsuStartStream start;
-  start.epoch = wire_epoch();
-  const GroupId delivery_group = next_group_++;
-  start.group = delivery_group;
-  start.stream = next_stream_++;
-  start.file = !placement->files[0].empty() ? placement->files[0] : component.file_name;
-  auto type = catalog_->FindType(component.type_name);
-  start.protocol = (*type)->protocol;
-  start.rate = rate;
-  start.disk_hint = placement->disks[0];
-  start.open_control_conn = false;  // members carry their own control conns
-  auto record = catalog_->FindContent(component.item_name);
-  start.fast_forward_file = (*record)->fast_forward_file;
-  start.fast_backward_file = (*record)->fast_backward_file;
-  start.shared = true;
-  start.pin_prefix = IsHot(content);
   for (const PendingRequest& request : live) {
-    SharedMemberSpec member;
-    member.stream = next_stream_++;
-    member.group = request.group;
-    member.client_node = request.port.node;
-    member.client_udp_port = request.port.udp_port;
-    member.client_control_port = request.port.control_port;
-    start.shared_members.push_back(std::move(member));
-  }
-
-  const Result<Envelope> response = co_await msu.conn->Call(MessageBody{start});
-  const auto* ack = response.ok() ? std::get_if<MsuStartStreamResponse>(&response->body) : nullptr;
-  if (ack == nullptr || !ack->ok) {
-    // Txn destructor refunds everything; members retry as unique streams.
-    queue_all();
-    co_return;
-  }
-
-  // The delivery stream holds the disk bandwidth. Its group deliberately has
-  // no group_requests_ entry: if the MSU dies, MarkMsuDown releases the hold
-  // and drops it silently while each member fails over on its own.
-  ActiveStream stream;
-  stream.stream = start.stream;
-  stream.group = delivery_group;
-  stream.msu = chosen_msu;
-  stream.disk = placement->disks[0];
-  stream.content_item = component.item_name;
-  stream.rate = rate;
-  Replicate(ReplRecord{stream}, &txn);
-
-  SharedGroup shared;
-  shared.delivery_stream = start.stream;
-  shared.msu = chosen_msu;
-  shared.disk = placement->disks[0];
-  shared.content = content;
-  shared.file = start.file;
-  shared.rate = rate;
-  shared.started_at = machine_->sim().Now();
-  shared.member_count = static_cast<int>(live.size());
-  Replicate(ReplRecord{std::move(shared)});
-
-  // Members ride the fan-out: NIC bandwidth only.
-  stream.disk = ResourceLedger::kSharedDisk;
-  for (size_t i = 0; i < live.size(); ++i) {
-    const PendingRequest& request = live[i];
-    stream.stream = start.shared_members[i].stream;
-    stream.group = request.group;
-    stream.session = request.session;
-    Replicate(ReplRecord{stream}, &txn);
-    Replicate(ReplRecord{ReplGroupStarted(request.group, request)});
     RecordAdmission("share", request, OkStatus(), admit_start);
   }
   if (groups_formed_ != nullptr) {
@@ -1203,7 +1126,7 @@ Co<void> Coordinator::StartSharedGroup(std::string content,
   }
   if (trace_ != nullptr) {
     trace_->Span(trace_track_, metrics_prefix_, "share-group", admit_start,
-                 content + " x" + std::to_string(live.size()) + " on " + chosen_msu);
+                 content + " x" + std::to_string(live.size()) + " on " + placement->msu);
   }
 }
 
@@ -1236,20 +1159,8 @@ Co<MessageBody> Coordinator::HandleSharedMemberSplit(const SharedMemberSplit& sp
   const SimTime admit_start = machine_->sim().Now();
   const Status started = co_await TryStartGroup(resume);
   RecordAdmission("split", resume, started, admit_start);
-  if (started.code() == StatusCode::kResourceExhausted) {
-    if (!EnqueuePending(resume)) {
-      Replicate(ReplRecord{ReplPendingPopped(split.group, /*retrying=*/false)});
-      CountRequestLost();
-      NotifyRequestFailed(std::move(resume), UnavailableError("admission queue full"));
-    }
-    co_return MessageBody{SimpleResponse{true, ""}};
-  }
   if (!started.ok()) {
-    CALLIOPE_LOG(kWarning, "coord") << "shared member group " << split.group
-                                    << " could not re-admit after split: " << started.ToString();
-    Replicate(ReplRecord{ReplPendingPopped(split.group, /*retrying=*/false)});
-    CountRequestLost();
-    NotifyRequestFailed(std::move(resume), started);
+    RequeueOrDrop(std::move(resume), started);
   }
   co_return MessageBody{SimpleResponse{true, ""}};
 }
@@ -1927,19 +1838,27 @@ Task Coordinator::FailoverGroup(PendingRequest request) {
                                  << " failed over to a surviving replica";
     co_return;
   }
-  if (started.code() == StatusCode::kResourceExhausted) {
-    // No survivor holds a copy with bandwidth headroom right now; wait in
-    // the pending queue like any other unsatisfiable request.
-    if (!EnqueuePending(request)) {
-      CountRequestLost();
-      NotifyRequestFailed(std::move(request), UnavailableError("admission queue full"));
+  // No survivor holds a copy with bandwidth headroom right now: wait in the
+  // pending queue like any other unsatisfiable request.
+  RequeueOrDrop(std::move(request), started);
+}
+
+void Coordinator::RequeueOrDrop(PendingRequest request, Status outcome) {
+  if (outcome.code() == StatusCode::kResourceExhausted) {
+    if (EnqueuePending(request)) {
+      return;
     }
-    co_return;
+    outcome = UnavailableError("admission queue full");
   }
-  CALLIOPE_LOG(kWarning, "coord") << "group " << request.group
-                                  << " failover failed: " << started.ToString();
+  DropRequest(std::move(request), outcome);
+}
+
+void Coordinator::DropRequest(PendingRequest request, const Status& error) {
+  CALLIOPE_LOG(kWarning, "coord") << "request for '" << request.content << "' (group "
+                                  << request.group << ") dropped: " << error.ToString();
+  Replicate(ReplRecord{ReplPendingPopped(request.group, /*retrying=*/false)});
   CountRequestLost();
-  NotifyRequestFailed(std::move(request), started);
+  NotifyRequestFailed(std::move(request), error);
 }
 
 Task Coordinator::NotifyRequestFailed(PendingRequest request, Status error) {
@@ -1975,13 +1894,12 @@ Task Coordinator::RetryPendingQueue() {
       co_return;  // the queue is no longer ours to pop
     }
     PendingRequest request = pending_.front();
-    const bool live = FindSession(request.session).ok();
-    Replicate(ReplRecord{ReplPendingPopped(request.group, /*retrying=*/live)});
-    if (!live) {
+    if (!FindSession(request.session).ok()) {
       // The client went away while queued: the request is gone for good.
-      CountRequestLost();
+      DropRequest(std::move(request), UnavailableError("session closed"));
       continue;
     }
+    Replicate(ReplRecord{ReplPendingPopped(request.group, /*retrying=*/true)});
     const SimTime admit_start = machine_->sim().Now();
     const Status started = co_await TryStartGroup(request);
     if (started.code() != StatusCode::kResourceExhausted) {
@@ -1993,11 +1911,7 @@ Task Coordinator::RetryPendingQueue() {
     } else if (!started.ok()) {
       // Never drop a queued request silently: the client is told its group
       // is dead so it can stop waiting for a stream that will never arrive.
-      CALLIOPE_LOG(kWarning, "coord") << "queued request for '" << request.content
-                                      << "' failed permanently: " << started.ToString();
-      Replicate(ReplRecord{ReplPendingPopped(request.group, /*retrying=*/false)});
-      CountRequestLost();
-      NotifyRequestFailed(std::move(request), started);
+      DropRequest(std::move(request), started);
     }
   }
   // Re-queue this pass's failures behind anything newly queued. A re-queue
@@ -2122,7 +2036,6 @@ void Coordinator::RunExpirySweep() {
     }
   }
   for (PendingRequest& request : expired) {
-    Replicate(ReplRecord{ReplPendingPopped(request.group, /*retrying=*/false)});
     ++requests_expired_count_;
     if (requests_expired_metric_ != nullptr) {
       requests_expired_metric_->Add();
@@ -2131,15 +2044,11 @@ void Coordinator::RunExpirySweep() {
     if (klass < kAdmissionClassCount && class_expired_[klass] != nullptr) {
       class_expired_[klass]->Add();
     }
-    CountRequestLost();
     if (trace_ != nullptr) {
       trace_->Instant(trace_track_, metrics_prefix_, "pending-expired",
                       request.content + " group " + std::to_string(request.group));
     }
-    CALLIOPE_LOG(kWarning, "coord")
-        << "queued request for '" << request.content << "' (group " << request.group
-        << ") expired after its queue deadline";
-    NotifyRequestFailed(std::move(request), DeadlineExceededError("queued past deadline"));
+    DropRequest(std::move(request), DeadlineExceededError("queued past deadline"));
   }
   ScheduleExpirySweep();
 }
@@ -2209,8 +2118,9 @@ Task Coordinator::ShedGovernorLoop() {
         if (victim == pending_.end()) {
           break;
         }
+        // Parked like a retry while ShedRequest tries the cache attach.
         PendingRequest request = *victim;
-        Replicate(ReplRecord{ReplPendingPopped(request.group, /*retrying=*/false)});
+        Replicate(ReplRecord{ReplPendingPopped(request.group, /*retrying=*/true)});
         --budget;
         co_await ShedRequest(std::move(request));
         if (crashed_ || !is_primary()) {
@@ -2224,7 +2134,7 @@ Task Coordinator::ShedGovernorLoop() {
 }
 
 Co<void> Coordinator::ShedRequest(PendingRequest request) {
-  if (params_.traffic.degrade_to_attach && SharingEligible(request)) {
+  if (SharingEligible(request)) {
     // Graceful degradation: a viewer within a live group's cache horizon can
     // ride the interval cache with no disk reservation at all.
     const SharedGroup* target = FindAttachTarget(request.content);
@@ -2249,13 +2159,12 @@ Co<void> Coordinator::ShedRequest(PendingRequest request) {
   if (shed_rejected_ != nullptr) {
     shed_rejected_->Add();
   }
-  CountRequestLost();
   if (trace_ != nullptr) {
     trace_->Instant(trace_track_, metrics_prefix_, "shed",
                     std::string(AdmissionClassName(request.admission_class)) + " " +
                         request.content + " group " + std::to_string(request.group));
   }
-  NotifyRequestFailed(std::move(request), UnavailableError("shed under overload"));
+  DropRequest(std::move(request), UnavailableError("shed under overload"));
 }
 
 bool Coordinator::MsuUp(const std::string& node) const { return ledger_.IsUp(node); }

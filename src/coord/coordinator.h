@@ -22,6 +22,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -92,11 +93,9 @@ struct TrafficControlConfig {
   SimTime governor_interval = SimTime::Millis(500);
   // Queued requests shed per governor tick, newest-first, bulk before
   // standard. Bounded so one long breach degrades gradually rather than
-  // emptying the queue in a single burst.
+  // emptying the queue in a single burst. With sharing on, a shed viewer
+  // first tries a cache-horizon attach (no disk bandwidth).
   int shed_per_tick = 4;
-  // Before rejecting a shed viewer outright, try re-admitting it as a
-  // cache-horizon attach (no disk bandwidth; needs sharing enabled).
-  bool degrade_to_attach = true;
 };
 
 struct CoordinatorParams {
@@ -186,8 +185,9 @@ class Coordinator {
   // Primary: a joined standby has acknowledged every record appended so far,
   // so its replicated state equals ours.
   bool standby_in_sync() const { return peer_joined_ && oplog_acked_ == oplog_appended_; }
-  // Requests being launched (retries, shared-batch waiters, split members)
-  // whose outcome record has not been applied.
+  // Requests being launched (retries, shared-batch waiters, split members,
+  // shed requests trying a cache attach) whose outcome record has not been
+  // applied.
   size_t inflight_retry_count() const { return repl_in_flight_.size(); }
   // The replicated state as oplog records: the full install a joining
   // standby receives. Equal on a primary and its in-sync standby.
@@ -275,12 +275,15 @@ class Coordinator {
   // Live shared group on an up MSU whose playback position trails within the
   // cache horizon, or nullptr.
   const SharedGroup* FindAttachTarget(const std::string& content) const;
-  // Admits `request` as a cache-fed solo stream trailing `target` (no disk
-  // bandwidth; NIC + interval-cache bytes on the serving MSU).
+  // Planner: admits `request` as a cache-fed solo stream trailing `target`
+  // (no disk bandwidth; NIC + interval-cache bytes on the serving MSU).
   Co<Status> StartCacheAttach(PendingRequest request, SharedGroup target);
   // Closes the batch for `content` after the batch window, then starts one
   // delivery stream fanning out to every waiter still holding a live session.
   Task FlushShareBatch(std::string content);
+  // Planner for a flushed batch. A group that cannot start degrades: its
+  // waiters queue as unique streams (an MSU that has not redialed since a
+  // takeover reopens the batch instead).
   Co<void> StartSharedGroup(std::string content, std::vector<PendingRequest> waiters);
   // A member VCR op split it out of its shared group on the MSU; release the
   // member's shared hold and re-admit it as a solo stream at the split offset.
@@ -315,10 +318,40 @@ class Coordinator {
   void AbortReplicationsTouching(const std::string& msu_node);
 
   // ---- scheduling core ----
-  // Starts all component streams of a (possibly composite) request on one
-  // MSU. Returns kResourceExhausted when no MSU currently qualifies (the
-  // caller queues the request).
+  // What a planner hands Launch: the MSU, the start message with its ids
+  // left zero, one ledger hold per disk stream and per shared viewer (in the
+  // order Launch mints their stream ids: each stream, then its shared
+  // members), and what to log once the MSU acks.
+  struct LaunchPlan {
+    LaunchPlan() = default;
+
+    std::string msu;
+    MsuStartGroup start;  // group zero: a shared delivery group, minted at launch
+    std::vector<ActiveStream> streams;
+    std::optional<SharedGroup> shared;      // a shared launch's group record
+    std::vector<PendingRequest> requests;   // one ReplGroupStarted each
+    std::vector<ContentRecord> recordings;  // catalog entries a recording adds
+  };
+  // The one launch path: every admission starts its whole group on its MSU
+  // in one all-or-none call. Reserves the plan's holds, mints its ids, sends
+  // the one MsuStartGroup and, on the ack, logs every stream, the shared
+  // group and each ReplGroupStarted with no await in between. Returns
+  // kResourceExhausted when the MSU has no connection, the ledger's error
+  // when the reservation fails, and kInternal when the MSU refuses (the
+  // reservation is refunded).
+  Co<Status> Launch(LaunchPlan plan);
+  // Planner for a (possibly composite) request: resolve, place every
+  // component on one MSU, launch. Solo plays, recordings, retries,
+  // failovers and split re-admissions all come through here. Returns
+  // kResourceExhausted when no MSU currently qualifies (the caller queues
+  // the request).
   Co<Status> TryStartGroup(const PendingRequest& request);
+  // Settles a launch that did not start: a kResourceExhausted one waits in
+  // the queue if its class has room; anything else is dropped for good.
+  void RequeueOrDrop(PendingRequest request, Status outcome);
+  // Drops a request for good: pops it from the queue and the in-flight
+  // list, counts it lost and tells its client.
+  void DropRequest(PendingRequest request, const Status& error);
   Task RetryPendingQueue();
   // The single entrance to the pending queue: stamps the first enqueue time,
   // enforces the per-class queue cap, logs ReplPendingPushed and arms the
@@ -342,8 +375,8 @@ class Coordinator {
   // shed queued bulk/standard requests newest-first. Interactive requests
   // are never shed.
   Task ShedGovernorLoop();
-  // Sheds one queued request: with degrade_to_attach, tries a cache-horizon
-  // attach before the explicit rejection.
+  // Sheds one queued (parked) request: with sharing on it tries a
+  // cache-horizon attach before the explicit rejection.
   Co<void> ShedRequest(PendingRequest request);
   // Replica-aware failover: re-places one interrupted playback group on the
   // surviving MSUs, resuming near the last known media offsets.
@@ -423,8 +456,9 @@ class Coordinator {
   std::map<std::string, double> popularity_;                          // title -> EWMA
   std::map<std::string, SimTime> popularity_bumped_;                  // title -> last bump
   // Requests being launched whose outcome has not been logged yet: retries,
-  // flushed shared-batch waiters and split members' re-admissions. Re-queued
-  // on takeover (zero-amnesia for a crash mid-launch).
+  // flushed shared-batch waiters, split members' re-admissions and shed
+  // requests trying a cache attach. Re-queued on takeover (zero-amnesia for
+  // a crash mid-launch).
   std::vector<PendingRequest> repl_in_flight_;
   // ---- rebalancing state (empty unless params_.rebalance.enabled) ----
   std::map<int64_t, ReplOp> repl_ops_;  // in-flight background copies

@@ -655,20 +655,6 @@ void Coordinator::TakeOver(int64_t new_epoch) {
       }
     });
   }
-  // Groups the old primary was still launching (members started, the group
-  // record not yet logged) end as if nothing had been logged: the MSUs'
-  // reconciliation then quits their streams. A shared delivery stream's
-  // group never has a request.
-  std::vector<std::pair<StreamId, GroupId>> half_launched;
-  for (const auto& [id, active] : active_streams_) {
-    if (!group_requests_.contains(active.group) && !shared_groups_.contains(id)) {
-      half_launched.emplace_back(id, active.group);
-    }
-  }
-  for (const auto& [id, group] : half_launched) {
-    Replicate(ReplRecord{ReplStreamEnded(id)});
-    Replicate(ReplRecord{ReplGroupEnded(group)});
-  }
   // Requests the old primary was still launching — retries, shared-batch
   // waiters, split members — go back in line: better a duplicate failure
   // notification than a request the client believes is admitted silently

@@ -204,12 +204,12 @@ Co<Status> Msu::RegisterWithCoordinator(std::string coordinator_node) {
   });
   coordinator_conn_->set_request_handler(
       [this, host = coordinator_node](const MessageBody& body) -> Co<MessageBody> {
-        if (const auto* start = std::get_if<MsuStartStream>(&body)) {
+        if (const auto* start = std::get_if<MsuStartGroup>(&body)) {
           // Epoch fence: refuse data-path commands from a deposed primary.
           if (!AcceptEpoch(start->epoch, host)) {
-            co_return MessageBody{MsuStartStreamResponse{false, "stale epoch"}};
+            co_return MessageBody{MsuStartGroupResponse{false, "stale epoch"}};
           }
-          co_return co_await HandleStartStream(*start);
+          co_return co_await HandleStartGroup(*start);
         }
         if (const auto* del = std::get_if<MsuDeleteFile>(&body)) {
           if (!AcceptEpoch(del->epoch, host)) {
@@ -299,8 +299,7 @@ Co<Status> Msu::RegisterWithCoordinator(std::string coordinator_node) {
   warm_eligible_ = true;
   // Terminations that went unacknowledged while no primary was reachable are
   // owed to the new one — and so are replica install/failure notes.
-  FlushTerminationNotes();
-  FlushReplNotes();
+  FlushNotes();
   co_return OkStatus();
 }
 
@@ -350,121 +349,164 @@ Co<void> Msu::SendGroupInfo(Group& group) {
     if (member_it == streams_.end()) {
       continue;
     }
+    // A shared viewer's group names the delivery stream; the client keys its
+    // arrival accounting by the member's own stream id, so a shared viewer
+    // looks exactly like a solo one from the living-room end.
+    const SharedMemberState* member = member_it->second->FindMember(group.id);
+    if (member == nullptr) {
+      continue;
+    }
     info.members.push_back(StreamGroupInfo::Member{
-        group.streams[i], static_cast<int>(i),
+        member->stream, static_cast<int>(i),
         member_it->second->mode() == MsuStream::Mode::kRecord});
   }
   co_await group.control_conn->Send(Envelope{0, false, MessageBody{std::move(info)}});
 }
 
-Co<MessageBody> Msu::HandleStartStream(MsuStartStream request) {
-  if (crashed_) {
-    co_return MessageBody{MsuStartStreamResponse{false, "msu down"}};
-  }
-  auto protocol = protocols_.Instantiate(request.protocol);
+Result<std::unique_ptr<MsuStream>> Msu::AdmitStream(const MsuStartGroup& launch,
+                                                    const MsuStreamSpec& spec) {
+  auto protocol = protocols_.Instantiate(spec.protocol);
   if (!protocol.ok()) {
-    co_return MessageBody{MsuStartStreamResponse{false, protocol.status().ToString()}};
+    return protocol.status();
   }
-
-  auto stream = std::make_unique<MsuStream>(*this, request, std::move(*protocol));
+  auto stream = std::make_unique<MsuStream>(*this, launch, spec, std::move(*protocol));
 
   // Attach or create the file and pick the disk.
-  if (request.record) {
-    const Bytes estimated = request.rate.BytesIn(request.estimated_length);
-    auto file = fs_.Create(request.file, estimated, params_.striped_layout, request.disk_hint);
+  if (spec.record) {
+    const Bytes estimated = spec.rate.BytesIn(spec.estimated_length);
+    auto file = fs_.Create(spec.file, estimated, params_.striped_layout, spec.disk_hint);
     if (!file.ok()) {
-      co_return MessageBody{MsuStartStreamResponse{false, file.status().ToString()}};
+      return file.status();
     }
     stream->file_ = *file;
-    stream->disk_ = (*file)->home_disk();
   } else {
-    auto file = fs_.Lookup(request.file);
+    auto file = fs_.Lookup(spec.file);
     if (!file.ok()) {
-      co_return MessageBody{MsuStartStreamResponse{false, file.status().ToString()}};
+      return file.status();
     }
     if (!(*file)->committed()) {
-      co_return MessageBody{MsuStartStreamResponse{false, "content still recording"}};
+      return FailedPreconditionError("content still recording");
     }
     stream->file_ = *file;
-    stream->disk_ = (*file)->home_disk();
-    if (request.pin_prefix) {
+    if (spec.pin_prefix) {
       // Popularity-EWMA hot title: pin its first pages so every fresh viewer
       // reads the startup burst from memory.
-      page_cache_.PinPrefix(request.file, params_.cache_prefix_pages);
+      page_cache_.PinPrefix(spec.file, params_.cache_prefix_pages);
     }
   }
+  stream->disk_ = stream->file_->home_disk();
 
   // Admission: one duty-cycle slot on the stream's disk. Cache-fed trailing
   // viewers skip admission — their reads are meant to come out of the
   // interval cache; a miss spills to disk unadmitted (counted in sim.cache).
+  Status admitted = OkStatus();
   if (!stream->from_cache_) {
-    Status admitted = duty_cycle_.Admit(stream->disk_, request.rate);
+    admitted = duty_cycle_.Admit(stream->disk_, spec.rate);
     if (!admitted.ok() && PreemptCopyOnDisk(stream->disk_)) {
       // A background replica copy held the last slot: the live viewer wins
       // (DESIGN §5.8 — replication must never displace real-time service).
-      admitted = duty_cycle_.Admit(stream->disk_, request.rate);
-    }
-    if (!admitted.ok()) {
-      if (request.record) {
-        (void)fs_.Delete(request.file);
-      }
-      co_return MessageBody{MsuStartStreamResponse{false, admitted.ToString()}};
+      admitted = duty_cycle_.Admit(stream->disk_, spec.rate);
     }
   }
   // Double buffering: two large buffers per stream.
-  if (!buffer_pool_.TryAcquire() ) {
+  if (admitted.ok() && buffer_pool_.count() < 2) {
     if (!stream->from_cache_) {
-      duty_cycle_.Release(stream->disk_, request.rate);
+      duty_cycle_.Release(stream->disk_, spec.rate);
     }
-    co_return MessageBody{MsuStartStreamResponse{false, "out of stream buffers"}};
+    admitted = ResourceExhaustedError("out of stream buffers");
   }
-  if (!buffer_pool_.TryAcquire()) {
-    buffer_pool_.Release();
-    if (!stream->from_cache_) {
-      duty_cycle_.Release(stream->disk_, request.rate);
+  if (!admitted.ok()) {
+    if (spec.record) {
+      (void)fs_.Delete(spec.file);  // the blocks Create reserved come back
     }
-    co_return MessageBody{MsuStartStreamResponse{false, "out of stream buffers"}};
+    return admitted;
+  }
+  (void)buffer_pool_.TryAcquire();
+  (void)buffer_pool_.TryAcquire();
+  return stream;
+}
+
+void Msu::ReleaseAdmission(MsuStream& stream) {
+  if (!stream.from_cache_) {
+    duty_cycle_.Release(stream.disk(), stream.rate_);
+  }
+  buffer_pool_.Release();
+  buffer_pool_.Release();
+}
+
+Co<MessageBody> Msu::HandleStartGroup(MsuStartGroup request) {
+  if (crashed_) {
+    co_return MessageBody{MsuStartGroupResponse{false, "msu down"}};
+  }
+  // All or nothing: every stream is validated, admitted and given its
+  // buffers before any of them starts. A stream that cannot start refuses
+  // the group, and what the streams before it took comes back.
+  std::vector<std::unique_ptr<MsuStream>> admitted;
+  for (const MsuStreamSpec& spec : request.streams) {
+    auto stream = AdmitStream(request, spec);
+    if (!stream.ok()) {
+      for (const std::unique_ptr<MsuStream>& taken : admitted) {
+        ReleaseAdmission(*taken);
+        if (taken->mode() == MsuStream::Mode::kRecord) {
+          (void)fs_.Delete(taken->file_name());
+        }
+      }
+      co_return MessageBody{MsuStartGroupResponse{false, stream.status().ToString()}};
+    }
+    admitted.push_back(std::move(stream).value());
   }
 
-  // Admission churn is an interesting moment for the disk's existing
-  // flow-mode streams: the new load changes contention, so they re-earn
-  // their fast path through a fresh quiet window on the per-packet model.
-  NoteDiskInteresting(stream->disk_);
-
-  MsuStream* raw = stream.get();
-  raw->SetListed(true);
-  streams_[raw->id()] = std::move(stream);
-  if (raw->shared()) {
-    // Each member gets its own client-facing group entry, all pointing at the
-    // one delivery stream so VCR commands find it. Snapshot the member list:
-    // a VCR split arriving over an already-dialed member conn can mutate it
-    // while a later member's conn is still being dialed.
-    const std::vector<SharedMemberState> member_list = raw->members();
-    for (const SharedMemberState& member : member_list) {
-      auto& group = groups_[member.group];
+  // List the streams under their client-facing groups: the launch's group,
+  // or one group per shared viewer, each naming the one delivery stream so
+  // VCR commands find it.
+  std::vector<MsuStream*> started;
+  std::vector<GroupId> client_groups;
+  for (std::unique_ptr<MsuStream>& stream : admitted) {
+    // Admission churn is an interesting moment for the disk's existing
+    // flow-mode streams: the new load changes contention, so they re-earn
+    // their fast path through a fresh quiet window on the per-packet model.
+    NoteDiskInteresting(stream->disk_);
+    MsuStream* raw = stream.get();
+    raw->SetListed(true);
+    streams_[raw->id()] = std::move(stream);
+    started.push_back(raw);
+    for (const SharedMemberState& member : raw->members()) {
+      Group& group = groups_[member.group];
       group.id = member.group;
-      group.streams.assign(1, raw->id());
-      // Members always get their own control conns (`open_control_conn`
-      // refers to the delivery stream, which the Coordinator owns silently).
-      co_await EnsureControlConn(group, member.client_node, member.client_control_port);
+      if (raw->shared()) {
+        group.streams.assign(1, raw->id());
+      } else {
+        group.streams.push_back(raw->id());
+      }
+      if (client_groups.empty() || client_groups.back() != member.group) {
+        client_groups.push_back(member.group);  // a composite's streams share one
+      }
     }
-  } else {
-    auto& group = groups_[request.group];
-    group.id = request.group;
-    group.streams.push_back(raw->id());
-    if (request.open_control_conn) {
-      co_await EnsureControlConn(group, request.client_node, request.client_control_port);
+  }
+  // "As soon as it is ready to deliver the content stream, the MSU
+  // establishes a control stream (TCP connection) with the client." A VCR
+  // split arriving over an already-dialed member conn can detach a member
+  // while a later one is still being dialed, so each is looked up afresh.
+  for (GroupId id : client_groups) {
+    auto group_it = groups_.find(id);
+    const SharedMemberState* member = started.front()->FindMember(id);
+    if (group_it != groups_.end() && member != nullptr) {
+      co_await EnsureControlConn(group_it->second, member->client_node,
+                                 member->client_control_port);
     }
   }
 
-  if (request.record) {
-    raw->SetState(MsuStream::State::kRunning);
-  } else {
+  for (size_t i = 0; i < started.size(); ++i) {
+    MsuStream* raw = started[i];
+    if (raw->mode() == MsuStream::Mode::kRecord) {
+      raw->SetState(MsuStream::State::kRunning);
+      continue;
+    }
     raw->PlaybackLoop();
-    if (request.start_offset > SimTime()) {
+    if (request.streams[i].start_offset > SimTime()) {
       // Failover resume: jump to where the stream's previous MSU died. A
       // failed seek (corrupt tree, truncated file) falls back to the start.
-      const Status seeked = co_await raw->SeekTo(request.start_offset);
+      const Status seeked = co_await raw->SeekTo(request.streams[i].start_offset);
       if (!seeked.ok()) {
         CALLIOPE_LOG(kWarning, "msu") << "start-offset seek failed: " << seeked.ToString();
       }
@@ -474,32 +516,14 @@ Co<MessageBody> Msu::HandleStartStream(MsuStartStream request) {
     }
   }
 
-  // Tell the client the group is live (and, for recordings, where to send).
-  if (raw->shared()) {
-    // Per-member group info carrying the member's own stream id — the
-    // client's arrival accounting is keyed by it, so a shared viewer looks
-    // exactly like a solo one from the living-room end.
-    const std::vector<SharedMemberState> member_list = raw->members();
-    for (const SharedMemberState& member : member_list) {
-      auto group_it = groups_.find(member.group);
-      if (group_it == groups_.end() || group_it->second.control_conn == nullptr ||
-          group_it->second.control_conn->closed()) {
-        continue;
-      }
-      StreamGroupInfo info;
-      info.group = member.group;
-      info.msu_node = node_->name();
-      info.media_udp_port = params_.media_udp_port;
-      info.members.push_back(StreamGroupInfo::Member{member.stream, 0, false});
-      co_await group_it->second.control_conn->Send(Envelope{0, false, MessageBody{std::move(info)}});
-    }
-  } else {
-    auto group_it = groups_.find(request.group);
+  // Tell each client its group is live (and, for recordings, where to send).
+  for (GroupId id : client_groups) {
+    auto group_it = groups_.find(id);
     if (group_it != groups_.end()) {
       co_await SendGroupInfo(group_it->second);
     }
   }
-  co_return MessageBody{MsuStartStreamResponse{true, ""}};
+  co_return MessageBody{MsuStartGroupResponse{true, ""}};
 }
 
 namespace {
@@ -646,14 +670,7 @@ Co<MessageBody> Msu::SplitSharedMember(MsuStream& stream, GroupId group, VcrComm
   // Drop the member's old group entry; the Coordinator's solo re-admission
   // dials the client a fresh control conn (the client treats it as a
   // migration). Deferred close so the VcrAck below still gets through.
-  auto group_it = groups_.find(member.group);
-  if (group_it != groups_.end()) {
-    TcpConn* conn = group_it->second.control_conn;
-    groups_.erase(group_it);
-    if (conn != nullptr && !conn->closed()) {
-      sim().ScheduleAfter(SimTime::Millis(20), [conn] { conn->Close(); });
-    }
-  }
+  EraseGroup(member.group);
   co_return MessageBody{VcrAck{true, ""}};
 }
 
@@ -672,18 +689,11 @@ Task Msu::SendSplitToCoordinator(SharedMemberSplit split) {
   // Coordinator still holds the member's shared hold, so the split is owed
   // to whichever primary we register with next. A repeat is harmless — the
   // Coordinator ignores a split for a member it no longer tracks.
-  QueueReplNote(MessageBody{std::move(split)});
+  QueueNote(MessageBody{std::move(split)});
 }
 
 void Msu::EmitMemberTermination(MsuStream& stream, const SharedMemberState& member) {
-  auto group_it = groups_.find(member.group);
-  if (group_it != groups_.end()) {
-    TcpConn* conn = group_it->second.control_conn;
-    groups_.erase(group_it);
-    if (conn != nullptr && !conn->closed()) {
-      sim().ScheduleAfter(SimTime::Millis(20), [conn] { conn->Close(); });
-    }
-  }
+  EraseGroup(member.group);
   StreamTerminated note;
   note.stream = member.stream;
   note.group = member.group;
@@ -692,7 +702,19 @@ void Msu::EmitMemberTermination(MsuStream& stream, const SharedMemberState& memb
   note.was_recording = false;
   note.disk = stream.disk();
   note.last_media_offset = stream.CurrentMediaOffset();
-  NotifyTermination(std::move(note));
+  QueueNote(MessageBody{std::move(note)});
+}
+
+void Msu::EraseGroup(GroupId group) {
+  auto group_it = groups_.find(group);
+  if (group_it == groups_.end()) {
+    return;
+  }
+  TcpConn* conn = group_it->second.control_conn;
+  groups_.erase(group_it);
+  if (conn != nullptr && !conn->closed()) {
+    sim().ScheduleAfter(SimTime::Millis(20), [conn] { conn->Close(); });
+  }
 }
 
 const DataPage* Msu::CacheLookup(const std::string& file, size_t page_index) {
@@ -749,11 +771,7 @@ void Msu::OnStreamFinished(MsuStream* stream) {
                      stream->file_name(),
                  stream->start_time(), "stream " + std::to_string(stream->id()) + " quiesced");
   }
-  if (!stream->from_cache_) {
-    duty_cycle_.Release(stream->disk(), stream->rate_);
-  }
-  buffer_pool_.Release();
-  buffer_pool_.Release();
+  ReleaseAdmission(*stream);
 
   // A shared delivery stream ending (end of content, data loss) takes its
   // remaining members with it: each gets its own termination note so the
@@ -765,20 +783,13 @@ void Msu::OnStreamFinished(MsuStream* stream) {
     stream->members_.clear();
   }
 
-  // Group bookkeeping: drop this member; tear down the control connection
-  // when the last member ends.
+  // Group bookkeeping: drop this member; tear down the group and its
+  // control connection when the last member ends.
   auto group_it = groups_.find(stream->group());
   if (group_it != groups_.end()) {
-    auto& members = group_it->second.streams;
-    members.erase(std::remove(members.begin(), members.end(), stream->id()), members.end());
-    if (members.empty()) {
-      // Defer the close: if this termination was triggered by a VCR "quit",
-      // the acknowledgment still has to travel back over this connection.
-      TcpConn* conn = group_it->second.control_conn;
-      groups_.erase(group_it);
-      if (conn != nullptr && !conn->closed()) {
-        sim().ScheduleAfter(SimTime::Millis(20), [conn] { conn->Close(); });
-      }
+    std::erase(group_it->second.streams, stream->id());
+    if (group_it->second.streams.empty()) {
+      EraseGroup(stream->group());
     }
   }
 
@@ -798,30 +809,27 @@ void Msu::OnStreamFinished(MsuStream* stream) {
   if (!note.was_recording) {
     note.last_media_offset = stream->CurrentMediaOffset();
   }
-  NotifyTermination(std::move(note));
+  QueueNote(MessageBody{std::move(note)});
 
   stream->SetListed(false);
   finished_streams_[stream->id()] = std::move(it->second);
   streams_.erase(it);
 }
 
-void Msu::NotifyTermination(StreamTerminated note) {
-  // Queue-then-flush so a primary failover between the stream ending and the
-  // note arriving cannot orphan the termination: the note stays queued until
-  // some primary acknowledges it.
-  unsent_notes_.push_back(std::move(note));
-  FlushTerminationNotes();
+void Msu::QueueNote(MessageBody note) {
+  outbox_.push_back(std::move(note));
+  FlushNotes();
 }
 
-Task Msu::FlushTerminationNotes() {
-  if (notes_flushing_) {
+Task Msu::FlushNotes() {
+  if (outbox_flushing_) {
     co_return;
   }
-  notes_flushing_ = true;
-  while (!unsent_notes_.empty() && !crashed_ && coordinator_conn_ != nullptr &&
+  outbox_flushing_ = true;
+  while (!outbox_.empty() && !crashed_ && coordinator_conn_ != nullptr &&
          !coordinator_conn_->closed()) {
-    StreamTerminated note = unsent_notes_.front();
-    auto response = co_await coordinator_conn_->Call(MessageBody{std::move(note)});
+    MessageBody note = outbox_.front();
+    auto response = co_await coordinator_conn_->Call(std::move(note));
     if (!response.ok()) {
       break;  // conn broke; the close handler's reconnect re-triggers a flush
     }
@@ -838,9 +846,9 @@ Task Msu::FlushTerminationNotes() {
       ScheduleReconnect();
       break;
     }
-    unsent_notes_.pop_front();
+    outbox_.pop_front();
   }
-  notes_flushing_ = false;
+  outbox_flushing_ = false;
 }
 
 MessageBody Msu::HandlePrepareCopy(const MsuPrepareCopy& request) {
@@ -1021,7 +1029,7 @@ bool Msu::PreemptCopyOnDisk(int disk_index) {
     note.msu_node = node_->name();
     note.error = "preempted by live admission (copy source)";
     replica_sources_.erase(it);
-    QueueReplNote(MessageBody{std::move(note)});
+    QueueNote(MessageBody{std::move(note)});
     return true;
   }
   return false;
@@ -1184,7 +1192,7 @@ Task Msu::RunReplicaPull(int64_t op_id) {
     note.file = done.replica_file;
     note.disk = done.disk;
     note.bytes_copied = done.bytes_copied;
-    QueueReplNote(MessageBody{std::move(note)});
+    QueueNote(MessageBody{std::move(note)});
   } else {
     page_cache_.InvalidateFile(done.replica_file);
     (void)fs_.Delete(done.replica_file);
@@ -1198,45 +1206,8 @@ Task Msu::RunReplicaPull(int64_t op_id) {
     note.op = done.op;
     note.msu_node = node_->name();
     note.error = error;
-    QueueReplNote(MessageBody{std::move(note)});
+    QueueNote(MessageBody{std::move(note)});
   }
-}
-
-void Msu::QueueReplNote(MessageBody note) {
-  // Same queue-then-flush discipline as termination notes: a failover
-  // between the copy ending and the note arriving cannot orphan the result.
-  unsent_repl_notes_.push_back(std::move(note));
-  FlushReplNotes();
-}
-
-Task Msu::FlushReplNotes() {
-  if (repl_notes_flushing_) {
-    co_return;
-  }
-  repl_notes_flushing_ = true;
-  while (!unsent_repl_notes_.empty() && !crashed_ && coordinator_conn_ != nullptr &&
-         !coordinator_conn_->closed()) {
-    MessageBody note = unsent_repl_notes_.front();
-    auto response = co_await coordinator_conn_->Call(std::move(note));
-    if (!response.ok()) {
-      break;  // conn broke; the close handler's reconnect re-triggers a flush
-    }
-    const auto* ack = std::get_if<SimpleResponse>(&response->body);
-    if (ack == nullptr || !ack->ok) {
-      // "not primary": keep the note queued, drop the stale connection and
-      // redial until the new primary answers (it learned the op from the
-      // oplog shadow, or treats it as unknown and acks the cleanup).
-      TcpConn* stale = coordinator_conn_;
-      coordinator_conn_ = nullptr;
-      if (stale != nullptr && !stale->closed()) {
-        stale->Close();
-      }
-      ScheduleReconnect();
-      break;
-    }
-    unsent_repl_notes_.pop_front();
-  }
-  repl_notes_flushing_ = false;
 }
 
 int Msu::active_copy_count() const {
@@ -1285,11 +1256,7 @@ void Msu::Crash() {
   // phantom slot holds (repeated crash cycles would strangle admission).
   for (auto& [id, stream] : streams_) {
     stream->StopInternal();
-    if (!stream->from_cache_) {
-      duty_cycle_.Release(stream->disk(), stream->rate_);
-    }
-    buffer_pool_.Release();
-    buffer_pool_.Release();
+    ReleaseAdmission(*stream);
     if (trace_ != nullptr) {
       trace_->Span(node_->name(), "msu",
                    (stream->mode() == MsuStream::Mode::kRecord ? "record:" : "play:") +
@@ -1302,11 +1269,7 @@ void Msu::Crash() {
   streams_.clear();
   // Cached pages lived in the dead process's memory.
   page_cache_.Clear();
-  for (auto& [id, group] : groups_) {
-    (void)id;
-    (void)group;  // conns break via the node going down
-  }
-  groups_.clear();
+  groups_.clear();  // their control conns break with the node
   node_->SetDown(true);
   coordinator_conn_ = nullptr;
   // In-flight replica copies die with the process: free their duty slots so
@@ -1327,11 +1290,10 @@ void Msu::Crash() {
     }
   }
   replica_sources_.clear();
-  unsent_repl_notes_.clear();
-  // The process died: queued termination notes and warm-registration
-  // eligibility are gone. epoch_hosts_ survives (a tiny durable epoch file),
-  // so a restarted MSU still fences deposed primaries.
-  unsent_notes_.clear();
+  // The process died: queued notes and warm-registration eligibility are
+  // gone. epoch_hosts_ survives (a tiny durable epoch file), so a restarted
+  // MSU still fences deposed primaries.
+  outbox_.clear();
   warm_eligible_ = false;
 }
 

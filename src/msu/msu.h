@@ -68,11 +68,13 @@ struct MediaDatagramPayload {
 // a solo one from the client side until a VCR op splits it off.
 struct SharedMemberState {
   SharedMemberState() = default;
-  explicit SharedMemberState(const MsuStartStream& solo)
+  // A solo stream's member: the stream's own client, id and group.
+  SharedMemberState(const MsuStartGroup& launch, const MsuStreamSpec& solo)
       : stream(solo.stream),
-        group(solo.group),
+        group(launch.group),
         client_node(solo.client_node),
-        client_udp_port(solo.client_udp_port) {}
+        client_udp_port(solo.client_udp_port),
+        client_control_port(launch.client_control_port) {}
   explicit SharedMemberState(const SharedMemberSpec& spec)
       : stream(spec.stream),
         group(spec.group),
@@ -97,7 +99,8 @@ class MsuStream {
   enum class State { kStarting, kRunning, kPaused, kStopped };
   enum class Variant { kNormal, kFastForward, kFastBackward };
 
-  MsuStream(Msu& msu, const MsuStartStream& request, std::unique_ptr<ProtocolModule> protocol);
+  MsuStream(Msu& msu, const MsuStartGroup& launch, const MsuStreamSpec& spec,
+            std::unique_ptr<ProtocolModule> protocol);
 
   StreamId id() const { return id_; }
   GroupId group() const { return group_; }
@@ -329,7 +332,8 @@ class Msu {
 
   // Local control surface (also reachable via the Coordinator RPCs / the
   // group's client VCR connection).
-  Co<MessageBody> HandleStartStream(MsuStartStream request);
+  // Starts every stream of the group or none: see MsuStartGroup.
+  Co<MessageBody> HandleStartGroup(MsuStartGroup request);
   Co<MessageBody> HandleVcr(VcrCommand command);
 
   // Background replica copy (rebalancing, DESIGN §5.8), driven by the
@@ -402,11 +406,21 @@ class Msu {
   Task ReconnectLoop();
   Task FlushMetadataBehind();
   void OnStreamFinished(MsuStream* stream);
-  void NotifyTermination(StreamTerminated note);
-  // Drains unsent_notes_ over the coordinator connection, popping each note
-  // only once the (current) primary acknowledged it — so terminations
-  // in flight when a primary dies are redelivered to its successor.
-  Task FlushTerminationNotes();
+  // Validates one stream of a launch, admits it against its disk's duty
+  // cycle and takes its two buffers. A refusal gives back what it took,
+  // including a recording's freshly created file.
+  Result<std::unique_ptr<MsuStream>> AdmitStream(const MsuStartGroup& launch,
+                                                 const MsuStreamSpec& spec);
+  // Returns an admitted stream's duty-cycle slot and buffers.
+  void ReleaseAdmission(MsuStream& stream);
+  // Drops `group`'s entry and closes its control connection 20 ms later, so
+  // an acknowledgment still owed on it (a VCR quit's) gets through.
+  void EraseGroup(GroupId group);
+  // Notes owed to the primary (terminations, share splits, replica results)
+  // queue in one outbox until a primary acknowledges each, so a note in
+  // flight when a primary dies is redelivered to its successor.
+  void QueueNote(MessageBody note);
+  Task FlushNotes();
   // True if `epoch` (0 = HA disabled) is acceptable and records the
   // epoch->host claim; false means the command comes from a deposed primary
   // or a second claimant of an already-claimed epoch.
@@ -426,8 +440,8 @@ class Msu {
   // Detaches `group`'s member for a quit: emits its termination note and
   // stops the delivery stream when the last member leaves.
   Co<MessageBody> QuitSharedMember(MsuStream& stream, GroupId group);
-  // Reports a split to the primary; one no primary took is spooled with the
-  // replica notes, so a takeover window cannot leak the member's shared hold.
+  // Reports a split to the primary; one no primary took waits in the note
+  // outbox, so a takeover window cannot leak the member's shared hold.
   Task SendSplitToCoordinator(SharedMemberSplit split);
   // Termination bookkeeping for one shared member: its note to the
   // Coordinator, its group entry and control connection.
@@ -487,10 +501,6 @@ class Msu {
   bool PreemptCopyOnDisk(int disk_index);
   // Serves one ReplPullRequest on the replica pull listener.
   Co<MessageBody> ServeReplicaPull(ReplPullRequest request);
-  // Install/failure notes use the same queue-then-flush discipline as
-  // unsent_notes_: queued until some primary acks, surviving failovers.
-  void QueueReplNote(MessageBody note);
-  Task FlushReplNotes();
 
   Machine* machine_;
   NetNode* node_;
@@ -518,15 +528,13 @@ class Msu {
   // registration is "warm" (keep ledger holds). Reset by Crash() — a cold
   // restart lost its streams, so the Coordinator must rebuild the account.
   bool warm_eligible_ = false;
-  // Termination notes not yet acknowledged by a primary. Cleared by Crash()
-  // (the MSU process died); otherwise drained by FlushTerminationNotes().
-  std::deque<StreamTerminated> unsent_notes_;
-  bool notes_flushing_ = false;
+  // Notes not yet acknowledged by a primary. Cleared by Crash() (the MSU
+  // process died); otherwise drained by FlushNotes().
+  std::deque<MessageBody> outbox_;
+  bool outbox_flushing_ = false;
   // Background replica-copy state (DESIGN §5.8), keyed by Coordinator op id.
   std::map<int64_t, ReplicaSourceOp> replica_sources_;
   std::map<int64_t, ReplicaPullOp> replica_pulls_;
-  std::deque<MessageBody> unsent_repl_notes_;
-  bool repl_notes_flushing_ = false;
   StreamId next_local_stream_id_ = 1000000;  // for locally-initiated streams
 
   // Observability (null when not attached). Instrument pointers are cached

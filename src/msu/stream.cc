@@ -6,20 +6,20 @@
 
 namespace calliope {
 
-MsuStream::MsuStream(Msu& msu, const MsuStartStream& request,
+MsuStream::MsuStream(Msu& msu, const MsuStartGroup& launch, const MsuStreamSpec& spec,
                      std::unique_ptr<ProtocolModule> protocol)
     : msu_(&msu),
-      id_(request.stream),
-      group_(request.group),
-      mode_(request.record ? Mode::kRecord : Mode::kPlay),
-      file_name_(request.file),
-      ff_file_(request.fast_forward_file),
-      fb_file_(request.fast_backward_file),
-      protocol_name_(request.protocol),
+      id_(spec.stream),
+      group_(launch.group),
+      mode_(spec.record ? Mode::kRecord : Mode::kPlay),
+      file_name_(spec.file),
+      ff_file_(spec.fast_forward_file),
+      fb_file_(spec.fast_backward_file),
+      protocol_name_(spec.protocol),
       protocol_(std::move(protocol)),
-      rate_(request.rate),
-      shared_(request.shared),
-      from_cache_(request.from_cache),
+      rate_(spec.rate),
+      shared_(!spec.shared_members.empty()),
+      from_cache_(spec.from_cache),
       fanout_settled_(msu.sim()),
       buffers_changed_(msu.sim()),
       last_interesting_(msu.sim().Now()),  // admission is an interesting moment
@@ -27,12 +27,12 @@ MsuStream::MsuStream(Msu& msu, const MsuStartStream& request,
       start_time_(msu.sim().Now()) {
   if (!shared_) {
     // A solo stream is a shared group of one: its own client is the member.
-    members_.emplace_back(request);
+    members_.emplace_back(launch, spec);
     return;
   }
-  members_.reserve(request.shared_members.size());
-  for (const SharedMemberSpec& spec : request.shared_members) {
-    members_.emplace_back(spec);
+  members_.reserve(spec.shared_members.size());
+  for (const SharedMemberSpec& member : spec.shared_members) {
+    members_.emplace_back(member);
   }
 }
 

@@ -61,19 +61,22 @@ struct SizeVisitor {
            StringBytes(m.fast_backward_file);
   }
   Bytes operator()(const SimpleResponse& m) const { return Bytes(16) + StringBytes(m.error); }
-  Bytes operator()(const MsuStartStream& m) const {
-    Bytes size = Bytes(112) + StringBytes(m.file) + StringBytes(m.protocol) +
-                 StringBytes(m.client_node) + StringBytes(m.fast_forward_file) +
-                 StringBytes(m.fast_backward_file);
-    for (const SharedMemberSpec& member : m.shared_members) {
-      size += MemberBytes(member);
+  Bytes operator()(const MsuStartGroup& m) const {
+    Bytes size;
+    for (const MsuStreamSpec& spec : m.streams) {
+      size += Bytes(112) + StringBytes(spec.file) + StringBytes(spec.protocol) +
+              StringBytes(spec.client_node) + StringBytes(spec.fast_forward_file) +
+              StringBytes(spec.fast_backward_file);
+      for (const SharedMemberSpec& member : spec.shared_members) {
+        size += MemberBytes(member);
+      }
     }
     return size;
   }
   Bytes operator()(const SharedMemberSplit& m) const {
     return Bytes(64) + StringBytes(m.msu_node);
   }
-  Bytes operator()(const MsuStartStreamResponse& m) const {
+  Bytes operator()(const MsuStartGroupResponse& m) const {
     return Bytes(16) + StringBytes(m.error);
   }
   Bytes operator()(const MsuRegisterRequest& m) const {
@@ -210,8 +213,8 @@ struct NameVisitor {
   const char* operator()(const DeleteContentRequest&) const { return "DeleteContentRequest"; }
   const char* operator()(const LoadFastScanRequest&) const { return "LoadFastScanRequest"; }
   const char* operator()(const SimpleResponse&) const { return "SimpleResponse"; }
-  const char* operator()(const MsuStartStream&) const { return "MsuStartStream"; }
-  const char* operator()(const MsuStartStreamResponse&) const { return "MsuStartStreamResponse"; }
+  const char* operator()(const MsuStartGroup&) const { return "MsuStartGroup"; }
+  const char* operator()(const MsuStartGroupResponse&) const { return "MsuStartGroupResponse"; }
   const char* operator()(const MsuRegisterRequest&) const { return "MsuRegisterRequest"; }
   const char* operator()(const MsuRegisterResponse&) const { return "MsuRegisterResponse"; }
   const char* operator()(const StreamTerminated&) const { return "StreamTerminated"; }

@@ -220,10 +220,12 @@ struct SharedMemberSpec {
   int client_control_port = 0;
 };
 
-struct MsuStartStream {
-  MsuStartStream() = default;
+// One disk stream of a launch. A shared delivery stream (DESIGN §5.6) lists
+// its viewers in `shared_members` and ignores the client_* fields; every other
+// stream delivers to its own component's display port.
+struct MsuStreamSpec {
+  MsuStreamSpec() = default;
 
-  GroupId group = 0;
   StreamId stream = 0;
   std::string file;
   std::string protocol;  // protocol extension module name
@@ -233,28 +235,15 @@ struct MsuStartStream {
   int disk_hint = -1;         // which disk holds / should hold the file
   std::string client_node;
   int client_udp_port = 0;
-  int client_control_port = 0;  // MSU opens the VCR conn to this port
-  bool open_control_conn = true;
   std::string fast_forward_file;   // optional fast-scan variants
   std::string fast_backward_file;
   // Playback starts this far into the media (failover resumes a migrated
   // stream near where its previous MSU died). Zero: start at the beginning.
   SimTime start_offset;
-  // Coordinator HA epoch stamped on every command (0: HA disabled). MSUs
-  // refuse commands whose epoch is older than the one they registered under,
-  // fencing a deposed primary out of the data path.
-  int64_t epoch = 0;
-  // ---- stream sharing (DESIGN §5.6) ----
-  // Shared delivery group: one disk stream, fanned out to `shared_members`'
-  // display ports. The client_* fields above are ignored in favor of the
-  // per-member endpoints, and `stream` names the delivery stream whose disk
+  // Non-empty: a shared delivery group, one disk stream fanned out to these
+  // members' display ports. `stream` names the delivery stream whose disk
   // bandwidth the Coordinator reserved.
-  bool shared = false;
   std::vector<SharedMemberSpec> shared_members;
-  // VCR-split resume: the solo stream a paused member splits into starts in
-  // the paused state so the member's later Resume picks up exactly where the
-  // shared group left it.
-  bool start_paused = false;
   // The title is hot (popularity EWMA over threshold): pin its prefix pages
   // in the MSU's page cache as they are read.
   bool pin_prefix = false;
@@ -264,9 +253,31 @@ struct MsuStartStream {
   bool from_cache = false;
 };
 
-struct MsuStartStreamResponse {
-  MsuStartStreamResponse() = default;
-  MsuStartStreamResponse(bool success, std::string error_message)
+// Starts every disk stream of one client group on this MSU, or none of them
+// ("Calliope assigns all streams in a group to the same MSU", §2.2). The
+// header fields ride in each stream's fixed wire part, so a one-stream launch
+// costs what a single-stream start always did.
+struct MsuStartGroup {
+  MsuStartGroup() = default;
+
+  GroupId group = 0;
+  // The group's VCR control connection, dialed at the first stream's client
+  // node (shared members each dial their own). Zero: no control connection.
+  int client_control_port = 0;
+  // Coordinator HA epoch stamped on every command (0: HA disabled). MSUs
+  // refuse commands whose epoch is older than the one they registered under,
+  // fencing a deposed primary out of the data path.
+  int64_t epoch = 0;
+  // VCR-split resume: the solo stream a paused member splits into starts in
+  // the paused state so the member's later Resume picks up exactly where the
+  // shared group left it.
+  bool start_paused = false;
+  std::vector<MsuStreamSpec> streams;
+};
+
+struct MsuStartGroupResponse {
+  MsuStartGroupResponse() = default;
+  MsuStartGroupResponse(bool success, std::string error_message)
       : ok(success), error(std::move(error_message)) {}
 
   bool ok = false;
@@ -353,7 +364,7 @@ struct MsuDeleteFile {
   explicit MsuDeleteFile(std::string file_name) : file(std::move(file_name)) {}
 
   std::string file;
-  int64_t epoch = 0;  // HA epoch fence, as on MsuStartStream
+  int64_t epoch = 0;  // HA epoch fence, as on MsuStartGroup
 };
 
 // ---------- background replica copies (rebalancing, DESIGN §5.8) ----------
@@ -369,7 +380,7 @@ struct MsuPrepareCopy {
   int64_t op = 0;
   std::string file;
   DataRate rate;
-  int64_t epoch = 0;  // HA epoch fence, as on MsuStartStream
+  int64_t epoch = 0;  // HA epoch fence, as on MsuStartGroup
 };
 
 struct MsuPrepareCopyResponse {
@@ -849,7 +860,7 @@ using MessageBody =
     std::variant<OpenSessionRequest, OpenSessionResponse, ListContentRequest, ListContentResponse,
                  RegisterPortRequest, UnregisterPortRequest, PlayRequest, PlayResponse,
                  RecordRequest, RecordResponse, DeleteContentRequest, LoadFastScanRequest,
-                 SimpleResponse, MsuStartStream, MsuStartStreamResponse, MsuRegisterRequest,
+                 SimpleResponse, MsuStartGroup, MsuStartGroupResponse, MsuRegisterRequest,
                  MsuRegisterResponse, StreamTerminated, StreamProgressReport, PendingRequestFailed,
                  VcrCommand, VcrAck, MsuDeleteFile, StreamGroupInfo, SharedMemberSplit,
                  MsuPrepareCopy, MsuPrepareCopyResponse, MsuBeginCopy, MsuAbortCopy,

@@ -332,7 +332,7 @@ TEST(HaTest, ShedRequestStaysDeadAcrossTakeover) {
 // Where a sharing test kills the primary. kSplitDuringTakeover also pauses a
 // member right after the kill, so the MSU splits it off its shared group
 // while no primary is reachable. The two mid-launch kills wait until the
-// standby holds the launch's parked requests and the MsuStartStream call is
+// standby holds the launch's parked requests and the MsuStartGroup call is
 // still outstanding: the shared group's first launch, or a split member's
 // solo re-admission after a pause.
 enum class SharingKill {

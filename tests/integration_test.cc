@@ -234,6 +234,56 @@ TEST(IntegrationTest, CompositeSeminarRecordAndPlay) {
   EXPECT_GT((*client)->FindPort("a")->packets_received(), 50);
 }
 
+// A composite group starts on its MSU whole or not at all. One buffer short
+// of the seminar's two streams (two buffers each), the MSU can admit the
+// video member but not the audio one: the Play fails or queues, no member is
+// left streaming, the ledger keeps no hold, and the buffers are free for the
+// next one-stream Play.
+TEST(IntegrationTest, CompositeRefusedByMsuLeavesNoMemberRunning) {
+  InstallationConfig config;
+  config.msu.buffer_count = 3;
+  TestCluster cluster(config);
+  ASSERT_TRUE(cluster.Boot().ok());
+  const PacketSequence video = GenerateVbr(Graph2File(0), SimTime::Seconds(20));
+  VbrSourceConfig audio_config;
+  audio_config.target_average = DataRate::KilobitsPerSec(64);
+  audio_config.seed = 99;
+  const PacketSequence audio = GenerateVbr(audio_config, SimTime::Seconds(20));
+  ASSERT_TRUE(cluster.installation().LoadPackets("talk.0", "rtp-video", video, 0).ok());
+  ASSERT_TRUE(cluster.installation().LoadPackets("talk.1", "vat-audio", audio, 0).ok());
+  ContentRecord talk;
+  talk.name = "talk";
+  talk.type_name = "seminar";
+  talk.component_items = {"talk.0", "talk.1"};
+  talk.duration = SimTime::Seconds(20);
+  ASSERT_TRUE(cluster.coordinator().catalog().AddContent(std::move(talk)).ok());
+  ASSERT_TRUE(cluster.installation().LoadMpegMovie("movie", SimTime::Seconds(20), 0, false).ok());
+
+  auto client = cluster.AddConnectedClient("client0");
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(RegisterClientPort(cluster.sim(), **client, "v", "rtp-video").ok());
+  ASSERT_TRUE(RegisterClientPort(cluster.sim(), **client, "a", "vat-audio").ok());
+  CoResult<Result<ClientDisplayPort*>> seminar;
+  Collect((*client)->RegisterCompositePort("sem", "seminar", {"v", "a"}), &seminar);
+  ASSERT_TRUE(RunUntil(cluster.sim(), [&] { return seminar.done(); }, SimTime::Seconds(5)));
+  ASSERT_TRUE(seminar.value->ok()) << seminar.value->status().ToString();
+
+  auto play = PlayOn(cluster.sim(), **client, "talk", "sem");
+  EXPECT_TRUE(!play.ok() || play->queued);
+  cluster.sim().RunFor(SimTime::Seconds(2));
+  EXPECT_EQ(cluster.msu(0).active_stream_count(), 0);
+  EXPECT_EQ((*client)->FindPort("v")->packets_received(), 0);
+  EXPECT_EQ(cluster.coordinator().active_stream_count(), 0u);
+  EXPECT_EQ(cluster.coordinator().ledger().outstanding_holds(), 0u);
+  EXPECT_TRUE(cluster.coordinator().ledger().CheckInvariants().ok());
+
+  auto movie = PlayOn(cluster.sim(), **client, "movie", "tv");
+  ASSERT_TRUE(movie.ok()) << movie.status().ToString();
+  EXPECT_FALSE(movie->queued);
+  cluster.sim().RunFor(SimTime::Seconds(2));
+  EXPECT_GT((*client)->FindPort("tv")->packets_received(), 0);
+}
+
 TEST(IntegrationTest, MsuFailureDetectedAndRecovered) {
   InstallationConfig config;
   config.msu_count = 2;

@@ -42,25 +42,27 @@ struct MsuFixture {
     return records;
   }
 
-  MsuStartStream PlayRequest(const std::string& file, StreamId stream, GroupId group) {
-    MsuStartStream request;
+  // A one-stream group with no control connection (the test drives the
+  // stream object directly).
+  MsuStartGroup PlayRequest(const std::string& file, StreamId stream, GroupId group) {
+    MsuStartGroup request;
     request.group = group;
-    request.stream = stream;
-    request.file = file;
-    request.protocol = "raw-cbr";
-    request.rate = DataRate::MegabitsPerSec(1.5);
-    request.client_node = "client";
-    request.client_udp_port = 9000;
-    request.open_control_conn = false;  // drive the stream object directly
+    MsuStreamSpec& spec = request.streams.emplace_back();
+    spec.stream = stream;
+    spec.file = file;
+    spec.protocol = "raw-cbr";
+    spec.rate = DataRate::MegabitsPerSec(1.5);
+    spec.client_node = "client";
+    spec.client_udp_port = 9000;
     return request;
   }
 
   // Issues a start request and returns whether the MSU accepted.
-  bool Start(const MsuStartStream& request) {
+  bool Start(const MsuStartGroup& request) {
     CoResult<MessageBody> response;
-    Collect(msu->HandleStartStream(request), &response);
+    Collect(msu->HandleStartGroup(request), &response);
     RunUntil(sim, [&] { return response.done(); }, SimTime::Seconds(5));
-    const auto* ack = std::get_if<MsuStartStreamResponse>(&*response.value);
+    const auto* ack = std::get_if<MsuStartGroupResponse>(&*response.value);
     return ack != nullptr && ack->ok;
   }
 };
@@ -117,6 +119,45 @@ TEST(MsuTest, BufferPoolLimitsConcurrentStreams) {
     }
   }
   EXPECT_EQ(admitted, 2);
+}
+
+// A group whose second stream cannot get its buffers is refused whole: the
+// first stream's duty-cycle slot and buffers come back, so a following
+// one-stream start fits.
+TEST(MsuTest, GroupRefusedAtSecondMemberStartsNone) {
+  MsuParams params;
+  params.buffer_count = 3;  // one stream's two buffers, one short of a second
+  MsuFixture fx(params);
+  fx.InstallCbr("movie", SimTime::Seconds(30), 0);
+  (void)fx.client_node->BindUdp(9000, [](const Datagram&) {});
+  MsuStartGroup group = fx.PlayRequest("movie", 1, 1);
+  group.streams.push_back(group.streams.front());
+  group.streams.back().stream = 2;
+  EXPECT_FALSE(fx.Start(group));
+  EXPECT_EQ(fx.msu->active_stream_count(), 0);
+  EXPECT_EQ(fx.msu->FindStream(1), nullptr);
+  EXPECT_EQ(fx.msu->duty_cycle().active_streams(0), 0);
+  EXPECT_TRUE(fx.Start(fx.PlayRequest("movie", 3, 3)));
+  EXPECT_EQ(fx.msu->active_stream_count(), 1);
+}
+
+// A recording refused for buffers deletes the file it created: the blocks
+// come back and the same name can be created again.
+TEST(MsuTest, RecordingRefusedForBuffersFreesItsFile) {
+  MsuParams params;
+  params.buffer_count = 1;
+  MsuFixture fx(params);
+  const Bytes free_before = fx.msu->fs().TotalFreeSpace();
+  MsuStartGroup request = fx.PlayRequest("rec.dat", 1, 1);
+  request.streams[0].record = true;
+  request.streams[0].protocol = "rtp";
+  request.streams[0].estimated_length = SimTime::Seconds(60);
+  EXPECT_FALSE(fx.Start(request));
+  EXPECT_EQ(fx.msu->fs().TotalFreeSpace(), free_before);
+  for (size_t d = 0; d < fx.machine->disk_count(); ++d) {
+    EXPECT_EQ(fx.msu->duty_cycle().active_streams(static_cast<int>(d)), 0) << "disk " << d;
+  }
+  EXPECT_TRUE(fx.msu->fs().Create("rec.dat", Bytes::MiB(1), false, 0).ok());
 }
 
 TEST(MsuTest, PauseHaltsDiskServiceToo) {
@@ -224,10 +265,10 @@ TEST(MsuTest, StreamEndsItselfAtEndOfContent) {
 
 TEST(MsuTest, RecordingBuildsCommittedFileWithStoredSchedule) {
   MsuFixture fx;
-  MsuStartStream request = fx.PlayRequest("rec.dat", 1, 1);
-  request.record = true;
-  request.protocol = "rtp";
-  request.estimated_length = SimTime::Seconds(60);
+  MsuStartGroup request = fx.PlayRequest("rec.dat", 1, 1);
+  request.streams[0].record = true;
+  request.streams[0].protocol = "rtp";
+  request.streams[0].estimated_length = SimTime::Seconds(60);
   ASSERT_TRUE(fx.Start(request));
 
   // Push packets straight into the stream, as the UDP demux would.
@@ -285,9 +326,9 @@ TEST(MsuTest, FastBackwardMapsPositionsBothWays) {
   install("movie.fb", FilterFastBackward(stream, 15));
   (void)fx.client_node->BindUdp(9000, [](const Datagram&) {});
 
-  MsuStartStream request = fx.PlayRequest("movie", 1, 1);
-  request.fast_forward_file = "movie.ff";
-  request.fast_backward_file = "movie.fb";
+  MsuStartGroup request = fx.PlayRequest("movie", 1, 1);
+  request.streams[0].fast_forward_file = "movie.ff";
+  request.streams[0].fast_backward_file = "movie.fb";
   ASSERT_TRUE(fx.Start(request));
   fx.sim.RunFor(SimTime::Seconds(30));
   MsuStream* s = fx.msu->FindStream(1);
@@ -327,8 +368,8 @@ TEST(MsuTest, FastBackwardAtStartEndsTheStream) {
   ASSERT_TRUE(fx.msu->fs().InstallImage("movie.fb", fb_builder.Finish(), false, 0).ok());
   (void)fx.client_node->BindUdp(9000, [](const Datagram&) {});
 
-  MsuStartStream request = fx.PlayRequest("movie", 1, 1);
-  request.fast_backward_file = "movie.fb";
+  MsuStartGroup request = fx.PlayRequest("movie", 1, 1);
+  request.streams[0].fast_backward_file = "movie.fb";
   ASSERT_TRUE(fx.Start(request));
   fx.sim.RunFor(SimTime::Seconds(15));
   MsuStream* s = fx.msu->FindStream(1);
@@ -379,8 +420,8 @@ TEST(MsuTest, CrashStopsStreamsAndRestartKeepsContent) {
 TEST(MsuTest, UnknownProtocolRefused) {
   MsuFixture fx;
   fx.InstallCbr("movie", SimTime::Seconds(10), 0);
-  MsuStartStream request = fx.PlayRequest("movie", 1, 1);
-  request.protocol = "h264";
+  MsuStartGroup request = fx.PlayRequest("movie", 1, 1);
+  request.streams[0].protocol = "h264";
   EXPECT_FALSE(fx.Start(request));
 }
 

@@ -29,11 +29,14 @@ uint64_t SharingSeed() {
   return 1996;
 }
 
-InstallationConfig SharingConfigFor(int msu_count) {
+// `buffer_count` sizes each MSU's stream-buffer pool (two buffers per
+// stream), so a test can make the MSU refuse a launch the ledger admitted.
+InstallationConfig SharingConfigFor(int msu_count, int buffer_count = MsuParams().buffer_count) {
   InstallationConfig config;
   config.msu_count = msu_count;
   config.coordinator.sharing.enabled = true;
   config.msu.cache_memory = Bytes::MiB(32);
+  config.msu.buffer_count = buffer_count;
   return config;
 }
 
@@ -151,6 +154,79 @@ TEST(SharingTest, TrailingViewerRidesIntervalCache) {
   EXPECT_EQ(trail->out_of_order(), 0);
   // Cache-memory ledger column fully refunded.
   EXPECT_EQ(cluster.coordinator().ledger().outstanding_holds(), 0u);
+  EXPECT_TRUE(cluster.coordinator().ledger().CheckInvariants().ok());
+}
+
+// A shared group the MSU refuses (no buffers at all) degrades: both waiters
+// queue as unique streams, their retries are refused too, and each client is
+// told its group failed. Nothing stays reserved.
+TEST(SharingTest, SharedGroupRefusedByMsuQueuesThenFailsWaiters) {
+  TestCluster cluster(SharingConfigFor(1, /*buffer_count=*/1));
+  ASSERT_TRUE(cluster.Boot().ok());
+  ASSERT_TRUE(cluster.installation().LoadMpegMovie("m0", SimTime::Seconds(10), 0, false).ok());
+
+  auto client = cluster.AddConnectedClient("c");
+  ASSERT_TRUE(client.ok());
+  auto a = PlayOn(cluster.sim(), **client, "m0", "tv0");
+  auto b = PlayOn(cluster.sim(), **client, "m0", "tv1");
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  ASSERT_TRUE(RunUntil(cluster.sim(),
+                       [&] {
+                         return (*client)->GroupTerminated(a->group) &&
+                                (*client)->GroupTerminated(b->group);
+                       },
+                       SimTime::Seconds(5)));
+  EXPECT_FALSE((*client)->GroupFailure(a->group).empty());
+  EXPECT_FALSE((*client)->GroupFailure(b->group).empty());
+  EXPECT_EQ(CounterValue(cluster, "coord.groups.formed"), 0);
+  // Each waiter's solo retry out of the queue was refused.
+  EXPECT_EQ(CounterValue(cluster, "coord.admissions.rejected"), 2);
+  EXPECT_EQ(cluster.coordinator().requests_lost(), 2);
+  EXPECT_EQ(cluster.msu(0).active_stream_count(), 0);
+  ASSERT_TRUE(cluster.WaitForIdle(SimTime::Seconds(5)));
+  EXPECT_EQ(cluster.coordinator().ledger().outstanding_holds(), 0u);
+  EXPECT_EQ(cluster.coordinator().ledger().TotalReserved(), DataRate());
+  EXPECT_TRUE(cluster.coordinator().ledger().CheckInvariants().ok());
+}
+
+// A trailing viewer whose cache attach the MSU refuses (its buffer pool
+// holds one stream, the leader's delivery) falls back to a batch, whose
+// shared launch and solo retry are refused in turn. The leader plays on, and
+// the ledger drains once it quits.
+TEST(SharingTest, CacheAttachRefusedByMsuFallsBackToBatch) {
+  TestCluster cluster(SharingConfigFor(1, /*buffer_count=*/2));
+  ASSERT_TRUE(cluster.Boot().ok());
+  ASSERT_TRUE(cluster.installation().LoadMpegMovie("m0", SimTime::Seconds(60), 0, false).ok());
+
+  auto client = cluster.AddConnectedClient("c");
+  ASSERT_TRUE(client.ok());
+  auto leader = PlayOn(cluster.sim(), **client, "m0", "lead");
+  ASSERT_TRUE(leader.ok());
+  cluster.sim().RunFor(SimTime::Seconds(3));
+  ASSERT_EQ(CounterValue(cluster, "coord.groups.formed"), 1);
+
+  auto trailer = PlayOn(cluster.sim(), **client, "m0", "trail");
+  ASSERT_TRUE(trailer.ok());
+  EXPECT_FALSE(trailer->queued);  // batched, not queued
+  ASSERT_TRUE(RunUntil(cluster.sim(),
+                       [&] { return (*client)->GroupTerminated(trailer->group); },
+                       SimTime::Seconds(5)));
+  EXPECT_FALSE((*client)->GroupFailure(trailer->group).empty());
+  EXPECT_EQ(CounterValue(cluster, "coord.groups.attaches"), 0);
+  EXPECT_EQ(CounterValue(cluster, "coord.groups.formed"), 1);
+  EXPECT_EQ(CounterValue(cluster, "coord.admissions.rejected"), 1);
+  EXPECT_EQ(cluster.msu(0).active_stream_count(), 1);
+
+  ClientDisplayPort* lead = (*client)->FindPort("lead");
+  ASSERT_NE(lead, nullptr);
+  const int64_t received = lead->packets_received();
+  cluster.sim().RunFor(SimTime::Seconds(1));
+  EXPECT_GT(lead->packets_received(), received);
+  ASSERT_TRUE(QuitGroup(cluster.sim(), **client, leader->group).ok());
+  ASSERT_TRUE(cluster.WaitForIdle(SimTime::Seconds(5)));
+  EXPECT_EQ(cluster.coordinator().ledger().outstanding_holds(), 0u);
+  EXPECT_EQ(cluster.coordinator().ledger().TotalReserved(), DataRate());
   EXPECT_TRUE(cluster.coordinator().ledger().CheckInvariants().ok());
 }
 
