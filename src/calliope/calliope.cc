@@ -29,7 +29,7 @@ std::string SuffixedTracePath(const std::string& path, int ordinal) {
 }
 
 Installation::Installation(InstallationConfig config)
-    : config_(std::move(config)), network_(sim_, config_.network) {
+    : config_(std::move(config)), network_(sim_, metrics_, trace_, config_.network) {
   if (config_.colocate_coordinator) {
     config_.standby_coordinator = false;  // needs a dedicated coordinator host
   }
@@ -43,17 +43,19 @@ Installation::Installation(InstallationConfig config)
     const std::string name = "msu" + std::to_string(i);
     msu_machines_.push_back(std::make_unique<Machine>(sim_, msu_params, name));
     msu_nodes_.push_back(network_.AddNode(name, msu_machines_.back().get(), /*on_intra=*/true));
-    msus_.push_back(
-        std::make_unique<Msu>(*msu_machines_.back(), *msu_nodes_.back(), config_.msu));
+    msus_.push_back(std::make_unique<Msu>(*msu_machines_.back(), *msu_nodes_.back(), metrics_,
+                                          trace_, config_.msu));
   }
 
+  // The catalog models durable shared storage: both HA pair members read
+  // and write the same content/customer records.
+  auto catalog = std::make_shared<Catalog>(Catalog::WithStandardTypes());
   if (config_.colocate_coordinator && !msus_.empty()) {
     // Small installation: the Coordinator runs on msu0's machine and shares
     // its host name; MSUs register against "msu0".
     coordinator_node_ = msu_nodes_.front();
     coordinator_ = std::make_unique<Coordinator>(*msu_machines_.front(), *coordinator_node_,
-                                                 Catalog::WithStandardTypes(),
-                                                 config_.coordinator);
+                                                 catalog, metrics_, trace_, config_.coordinator);
   } else {
     MachineParams coord_params = DisklessHost();
     coord_params.rng_seed = config_.seed ^ 0xC00D;
@@ -66,11 +68,8 @@ Installation::Installation(InstallationConfig config)
       primary_params.ha.peer_node = "coordinator2";
       primary_params.ha.peer_port = primary_params.listen_port;
     }
-    // The catalog models durable shared storage: both HA pair members read
-    // and write the same content/customer records.
-    auto catalog = std::make_shared<Catalog>(Catalog::WithStandardTypes());
     coordinator_ = std::make_unique<Coordinator>(*coordinator_machine_, *coordinator_node_,
-                                                 catalog, primary_params);
+                                                 catalog, metrics_, trace_, primary_params);
     if (config_.standby_coordinator) {
       MachineParams standby_params = DisklessHost();
       standby_params.rng_seed = config_.seed ^ 0xC00D2;
@@ -83,21 +82,13 @@ Installation::Installation(InstallationConfig config)
       standby_coord_params.ha.peer_port = standby_coord_params.listen_port;
       standby_coord_params.ha.start_as_standby = true;
       standby_ = std::make_unique<Coordinator>(*standby_machine_, *standby_node_, catalog,
-                                               standby_coord_params);
+                                               metrics_, trace_, standby_coord_params);
     }
   }
   AddDefaultCustomers();
 
-  network_.AttachObservability(&metrics_, &trace_);
-  for (auto& msu : msus_) {
-    msu->AttachObservability(&metrics_, &trace_);
-  }
-  coordinator_->AttachObservability(&metrics_, &trace_);
-  if (standby_ != nullptr) {
-    standby_->AttachObservability(&metrics_, &trace_, "coord2");
-  }
   if (config_.sampler.period > SimTime()) {
-    sampler_ = std::make_unique<MetricsSampler>(sim_, metrics_, &trace_, config_.sampler,
+    sampler_ = std::make_unique<MetricsSampler>(sim_, metrics_, trace_, config_.sampler,
                                                 config_.slos);
     for (auto& msu : msus_) {
       msu->set_qos_sink(sampler_->qos());
@@ -180,7 +171,8 @@ Status Installation::Boot(SimTime timeout) {
 
 Status Installation::ApplyFaultPlan(FaultPlan plan) {
   if (fault_injector_ == nullptr) {
-    fault_injector_ = std::make_unique<FaultInjector>(sim_, network_,
+    // Before Arm() so the planned fault windows land in the trace as spans.
+    fault_injector_ = std::make_unique<FaultInjector>(sim_, network_, metrics_, trace_,
                                                       config_.seed ^ 0xFA017);
     for (size_t i = 0; i < msus_.size(); ++i) {
       fault_injector_->AttachMsu("msu" + std::to_string(i), msus_[i].get());
@@ -189,8 +181,6 @@ Status Installation::ApplyFaultPlan(FaultPlan plan) {
     if (standby_ != nullptr) {
       fault_injector_->AttachStandbyCoordinator(standby_.get(), "coordinator2");
     }
-    // Before Arm() so the planned fault windows land in the trace as spans.
-    fault_injector_->AttachObservability(&metrics_, &trace_);
   }
   return fault_injector_->Arm(std::move(plan));
 }

@@ -149,7 +149,7 @@ class Installation {
   InstallationConfig config_;
   Simulator sim_;
   // Declared before the subsystems that publish into them (and therefore
-  // destroyed after them): attach hands out raw instrument pointers.
+  // destroyed after them): each subsystem holds references to both.
   MetricsRegistry metrics_;
   TraceRecorder trace_{sim_};
   std::string trace_path_;

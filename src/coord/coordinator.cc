@@ -8,22 +8,55 @@
 
 namespace calliope {
 
-Coordinator::Coordinator(Machine& machine, NetNode& node, Catalog catalog,
-                         CoordinatorParams params)
-    : Coordinator(machine, node, std::make_shared<Catalog>(std::move(catalog)),
-                  std::move(params)) {}
+namespace {
+
+// Seed for stochastic placement policies (power-of-two), so runs stay
+// reproducible.
+constexpr uint64_t kPlacementSeed = 1996;
+// Sharing: requests for one title arriving within the batch window coalesce
+// into one shared delivery group fed by a single disk stream (well under the
+// client's 60 s WaitForGroupReady timeout). A viewer arriving within the
+// cache horizon of a live shared group's playback position attaches as a
+// cache-fed solo stream (no disk bandwidth) instead of opening a batch.
+constexpr SimTime kShareBatchWindow = SimTime::Millis(500);
+constexpr SimTime kCacheHorizon = SimTime::Seconds(8);
+// Rebalancing: planner cadence and the cluster-wide cap on simultaneously
+// running copies.
+constexpr SimTime kRebalanceInterval = SimTime::Seconds(2);
+constexpr int kMaxConcurrentCopies = 2;
+// Traffic control: interactive and standard pending-queue bounds (the bulk
+// bound is TrafficControlConfig::bulk_queue_cap).
+constexpr int kInteractiveQueueCap = 64;
+constexpr int kStandardQueueCap = 32;
+// Saturation-governor cadence: each tick consults the overload probe and,
+// while it reports a breach, sheds at most kShedPerTick queued requests
+// (newest-first, bulk before standard), so one long breach degrades
+// gradually rather than emptying the queue in a single burst.
+constexpr SimTime kGovernorInterval = SimTime::Millis(500);
+constexpr int kShedPerTick = 4;
+
+}  // namespace
 
 Coordinator::Coordinator(Machine& machine, NetNode& node, std::shared_ptr<Catalog> catalog,
+                         MetricsRegistry& metrics, TraceRecorder& trace,
                          CoordinatorParams params)
-    : machine_(&machine), node_(&node), params_(params), catalog_(std::move(catalog)) {
+    : machine_(&machine),
+      node_(&node),
+      params_(params),
+      catalog_(std::move(catalog)),
+      metrics_(metrics),
+      trace_(trace),
+      metrics_prefix_(params_.ha.start_as_standby ? "coord2" : "coord"),
+      trace_track_(params_.ha.start_as_standby ? "coord2" : "coordinator") {
   const PlacementPolicyRegistry registry = PlacementPolicyRegistry::WithBuiltins();
-  auto policy = registry.Instantiate(params_.placement_policy, params_.placement_seed);
+  auto policy = registry.Instantiate(params_.placement_policy, kPlacementSeed);
   if (!policy.ok()) {
     CALLIOPE_LOG(kWarning, "coord") << "unknown placement policy '" << params_.placement_policy
                                     << "', falling back to least-loaded";
-    policy = registry.Instantiate("least-loaded", params_.placement_seed);
+    policy = registry.Instantiate("least-loaded", kPlacementSeed);
   }
   policy_ = std::move(policy).value();
+  PublishMetrics();
   (void)node_->ListenTcp(params_.listen_port, [this](TcpConn* conn) { OnAccept(conn); });
   if (params_.ha.enabled) {
     StartHa();
@@ -36,62 +69,24 @@ Coordinator::Coordinator(Machine& machine, NetNode& node, std::shared_ptr<Catalo
   }
 }
 
-void Coordinator::AttachObservability(MetricsRegistry* metrics, TraceRecorder* trace,
-                                      std::string prefix) {
-  metrics_ = metrics;
-  trace_ = trace;
-  metrics_prefix_ = std::move(prefix);
-  trace_track_ = metrics_prefix_ == "coord" ? "coordinator" : metrics_prefix_;
-  if (metrics_ == nullptr) {
-    admit_accepted_ = nullptr;
-    admit_rejected_ = nullptr;
-    admit_queued_ = nullptr;
-    failover_groups_ = nullptr;
-    groups_formed_ = nullptr;
-    groups_members_ = nullptr;
-    groups_attaches_ = nullptr;
-    groups_splits_ = nullptr;
-    recordings_lost_ = nullptr;
-    requests_lost_metric_ = nullptr;
-    takeovers_metric_ = nullptr;
-    repl_batches_ = nullptr;
-    repl_records_shipped_ = nullptr;
-    takeover_gap_us_ = nullptr;
-    rebalance_ticks_ = nullptr;
-    rebalance_copies_started_ = nullptr;
-    rebalance_copies_installed_ = nullptr;
-    rebalance_copies_aborted_ = nullptr;
-    rebalance_preemptions_ = nullptr;
-    rebalance_demotions_ = nullptr;
-    requests_expired_metric_ = nullptr;
-    for (int c = 0; c < kAdmissionClassCount; ++c) {
-      class_accepted_[c] = nullptr;
-      class_queued_[c] = nullptr;
-      class_shed_[c] = nullptr;
-      class_expired_[c] = nullptr;
-    }
-    shed_episodes_ = nullptr;
-    shed_rejected_ = nullptr;
-    shed_degraded_ = nullptr;
-    shed_rebalance_paused_ = nullptr;
-    return;
-  }
-  admit_accepted_ = &metrics_->counter(metrics_prefix_ + ".admissions.accepted");
-  admit_rejected_ = &metrics_->counter(metrics_prefix_ + ".admissions.rejected");
-  admit_queued_ = &metrics_->counter(metrics_prefix_ + ".admissions.queued");
-  requests_expired_metric_ = &metrics_->counter(metrics_prefix_ + ".requests.expired");
-  failover_groups_ = &metrics_->counter(metrics_prefix_ + ".failover.groups");
-  recordings_lost_ = &metrics_->counter(metrics_prefix_ + ".failover.recordings_lost");
-  requests_lost_metric_ = &metrics_->counter(metrics_prefix_ + ".requests_lost");
-  // Monotonic tally: published as a counter so per-window deltas read as a
-  // request rate (the gauge shape it shipped with made deltas meaningless).
-  metrics_->SetCounterCallback(metrics_prefix_ + ".requests.handled",
-                               [this] { return requests_handled_; });
-  metrics_->SetGaugeCallback(metrics_prefix_ + ".pending.depth",
-                             [this] { return static_cast<int64_t>(pending_.size()); });
-  metrics_->SetGaugeCallback(metrics_prefix_ + ".streams.active",
-                             [this] { return static_cast<int64_t>(active_streams_.size()); });
-  metrics_->SetGaugeCallback(metrics_prefix_ + ".msus.up", [this] {
+void Coordinator::PublishMetrics() {
+  const auto pull = [this](const std::string& name, const int64_t& tally) {
+    metrics_.SetCounterCallback(metrics_prefix_ + name, [&tally] { return tally; });
+  };
+  const auto gauge = [this](const std::string& name, std::function<int64_t()> fn) {
+    metrics_.SetGaugeCallback(metrics_prefix_ + name, std::move(fn));
+  };
+  pull(".admissions.accepted", admit_accepted_);
+  pull(".admissions.rejected", admit_rejected_);
+  pull(".admissions.queued", admit_queued_);
+  pull(".requests.expired", requests_expired_count_);
+  pull(".failover.groups", failover_groups_);
+  pull(".failover.recordings_lost", recordings_lost_);
+  pull(".requests_lost", requests_lost_count_);
+  pull(".requests.handled", requests_handled_);
+  gauge(".pending.depth", [this] { return static_cast<int64_t>(pending_.size()); });
+  gauge(".streams.active", [this] { return static_cast<int64_t>(active_streams_.size()); });
+  gauge(".msus.up", [this] {
     int64_t up = 0;
     for (const auto& [name, msu] : msus_) {
       if (ledger_.IsUp(name)) {
@@ -101,14 +96,12 @@ void Coordinator::AttachObservability(MetricsRegistry* metrics, TraceRecorder* t
     return up;
   });
   if (params_.sharing.enabled) {
-    groups_formed_ = &metrics_->counter(metrics_prefix_ + ".groups.formed");
-    groups_members_ = &metrics_->counter(metrics_prefix_ + ".groups.members");
-    groups_attaches_ = &metrics_->counter(metrics_prefix_ + ".groups.attaches");
-    groups_splits_ = &metrics_->counter(metrics_prefix_ + ".groups.splits");
-    metrics_->SetGaugeCallback(metrics_prefix_ + ".groups.active", [this] {
-      return static_cast<int64_t>(shared_groups_.size());
-    });
-    metrics_->SetGaugeCallback(metrics_prefix_ + ".groups.hot_titles", [this] {
+    pull(".groups.formed", groups_formed_);
+    pull(".groups.members", groups_members_);
+    pull(".groups.attaches", groups_attaches_);
+    pull(".groups.splits", groups_splits_);
+    gauge(".groups.active", [this] { return static_cast<int64_t>(shared_groups_.size()); });
+    gauge(".groups.hot_titles", [this] {
       int64_t hot = 0;
       for (const auto& [title, ewma] : popularity_) {
         if (IsHot(title)) {
@@ -119,89 +112,65 @@ void Coordinator::AttachObservability(MetricsRegistry* metrics, TraceRecorder* t
     });
   }
   if (params_.ha.enabled) {
-    takeovers_metric_ = &metrics_->counter(metrics_prefix_ + ".ha.takeovers");
-    repl_batches_ = &metrics_->counter(metrics_prefix_ + ".repl.batches");
-    repl_records_shipped_ = &metrics_->counter(metrics_prefix_ + ".repl.records_shipped");
-    takeover_gap_us_ = &metrics_->histogram(metrics_prefix_ + ".ha.takeover_gap_us");
-    metrics_->SetGaugeCallback(metrics_prefix_ + ".ha.epoch", [this] { return epoch_; });
-    metrics_->SetGaugeCallback(metrics_prefix_ + ".ha.role", [this] {
-      return static_cast<int64_t>(role_ == HaRole::kPrimary ? 1 : 0);
-    });
-    metrics_->SetGaugeCallback(metrics_prefix_ + ".repl.lag_records",
-                               [this] { return oplog_appended_ - oplog_acked_; });
-    metrics_->SetGaugeCallback(metrics_prefix_ + ".repl.log_len", [this] {
-      return static_cast<int64_t>(pending_records_.size());
-    });
+    pull(".ha.takeovers", takeovers_count_);
+    pull(".repl.batches", repl_batches_);
+    pull(".repl.records_shipped", repl_records_shipped_);
+    metrics_.histogram(metrics_prefix_ + ".ha.takeover_gap_us");  // TakeOver records by name
+    gauge(".ha.epoch", [this] { return epoch_; });
+    gauge(".ha.role", [this] { return static_cast<int64_t>(role_ == HaRole::kPrimary ? 1 : 0); });
+    gauge(".repl.lag_records", [this] { return oplog_appended_ - oplog_acked_; });
+    gauge(".repl.log_len", [this] { return static_cast<int64_t>(pending_records_.size()); });
   }
   if (params_.rebalance.enabled) {
-    rebalance_ticks_ = &metrics_->counter(metrics_prefix_ + ".rebalance.ticks");
-    rebalance_copies_started_ = &metrics_->counter(metrics_prefix_ + ".rebalance.copies_started");
-    rebalance_copies_installed_ =
-        &metrics_->counter(metrics_prefix_ + ".rebalance.copies_installed");
-    rebalance_copies_aborted_ = &metrics_->counter(metrics_prefix_ + ".rebalance.copies_aborted");
-    rebalance_preemptions_ = &metrics_->counter(metrics_prefix_ + ".rebalance.preemptions");
-    rebalance_demotions_ = &metrics_->counter(metrics_prefix_ + ".rebalance.demotions");
-    metrics_->SetGaugeCallback(metrics_prefix_ + ".rebalance.active_copies", [this] {
-      return static_cast<int64_t>(repl_ops_.size());
-    });
+    pull(".rebalance.ticks", rebalance_ticks_);
+    pull(".rebalance.copies_started", rebalance_copies_started_);
+    pull(".rebalance.copies_installed", rebalance_copies_installed_);
+    pull(".rebalance.copies_aborted", rebalance_copies_aborted_);
+    pull(".rebalance.preemptions", rebalance_preemptions_);
+    pull(".rebalance.demotions", rebalance_demotions_);
+    gauge(".rebalance.active_copies", [this] { return static_cast<int64_t>(repl_ops_.size()); });
   }
   if (params_.traffic.enabled) {
     for (int c = 0; c < kAdmissionClassCount; ++c) {
       const AdmissionClass klass = static_cast<AdmissionClass>(c);
-      const std::string stem =
-          metrics_prefix_ + ".admission." + AdmissionClassName(klass);
-      class_accepted_[c] = &metrics_->counter(stem + ".accepted");
-      class_queued_[c] = &metrics_->counter(stem + ".queued");
-      class_shed_[c] = &metrics_->counter(stem + ".shed");
-      class_expired_[c] = &metrics_->counter(stem + ".expired");
-      metrics_->SetGaugeCallback(stem + ".depth", [this, klass] {
-        return static_cast<int64_t>(pending_count_for(klass));
-      });
+      const std::string stem = std::string(".admission.") + AdmissionClassName(klass);
+      pull(stem + ".accepted", class_accepted_[c]);
+      pull(stem + ".queued", class_queued_[c]);
+      pull(stem + ".shed", class_shed_[c]);
+      pull(stem + ".expired", class_expired_[c]);
+      gauge(stem + ".depth",
+            [this, klass] { return static_cast<int64_t>(pending_count_for(klass)); });
     }
-    shed_episodes_ = &metrics_->counter(metrics_prefix_ + ".shed.episodes");
-    shed_rejected_ = &metrics_->counter(metrics_prefix_ + ".shed.rejected");
-    shed_degraded_ = &metrics_->counter(metrics_prefix_ + ".shed.degraded");
-    shed_rebalance_paused_ = &metrics_->counter(metrics_prefix_ + ".shed.rebalance_paused");
-    metrics_->SetGaugeCallback(metrics_prefix_ + ".shed.active",
-                               [this] { return shed_active_ ? int64_t{1} : int64_t{0}; });
+    pull(".shed.episodes", shed_episodes_);
+    pull(".shed.rejected", shed_rejected_);
+    pull(".shed.degraded", shed_degraded_);
+    pull(".shed.rebalance_paused", shed_rebalance_paused_);
+    gauge(".shed.active", [this] { return shed_active_ ? int64_t{1} : int64_t{0}; });
   }
 }
 
 void Coordinator::RecordAdmission(const char* kind, const PendingRequest& request,
                                   const Status& outcome, SimTime start) {
-  if (metrics_ != nullptr) {
-    const size_t klass = static_cast<size_t>(request.admission_class);
-    if (outcome.ok()) {
-      admit_accepted_->Add();
-      if (klass < kAdmissionClassCount && class_accepted_[klass] != nullptr) {
-        class_accepted_[klass]->Add();
-      }
-    } else if (outcome.code() == StatusCode::kResourceExhausted) {
-      admit_queued_->Add();
-      if (klass < kAdmissionClassCount && class_queued_[klass] != nullptr) {
-        class_queued_[klass]->Add();
-      }
-    } else {
-      admit_rejected_->Add();
+  const size_t klass = static_cast<size_t>(request.admission_class);
+  const bool known_class = klass < kAdmissionClassCount;
+  const char* verdict = "rejected";
+  if (outcome.ok()) {
+    verdict = "accepted";
+    ++admit_accepted_;
+    if (known_class) {
+      ++class_accepted_[klass];
     }
+  } else if (outcome.code() == StatusCode::kResourceExhausted) {
+    verdict = "queued";
+    ++admit_queued_;
+    if (known_class) {
+      ++class_queued_[klass];
+    }
+  } else {
+    ++admit_rejected_;
   }
-  if (trace_ != nullptr) {
-    const char* verdict = outcome.ok() ? "accepted"
-                          : outcome.code() == StatusCode::kResourceExhausted ? "queued"
-                                                                             : "rejected";
-    trace_->Span(trace_track_, metrics_prefix_, std::string("admit:") + kind, start,
-                 request.content + " group " + std::to_string(request.group) + " " + verdict);
-  }
-}
-
-void Coordinator::CountRequestLost(int64_t count) {
-  if (count <= 0) {
-    return;
-  }
-  requests_lost_count_ += count;
-  if (requests_lost_metric_ != nullptr) {
-    requests_lost_metric_->Add(count);
-  }
+  trace_.Span(trace_track_, metrics_prefix_, std::string("admit:") + kind, start,
+              request.content + " group " + std::to_string(request.group) + " " + verdict);
 }
 
 void Coordinator::OnAccept(TcpConn* conn) {
@@ -288,13 +257,11 @@ void Coordinator::Crash() {
   const bool state_survives =
       params_.ha.enabled && (role_ == HaRole::kStandby || peer_joined_);
   if (!state_survives) {
-    CountRequestLost(static_cast<int64_t>(pending_.size()));
+    requests_lost_count_ += static_cast<int64_t>(pending_.size());
   }
   crashed_ = true;
-  if (trace_ != nullptr) {
-    trace_->Instant(trace_track_, metrics_prefix_, "crash",
-                    std::to_string(active_streams_.size()) + " streams forgotten");
-  }
+  trace_.Instant(trace_track_, metrics_prefix_, "crash",
+                 std::to_string(active_streams_.size()) + " streams forgotten");
   node_->SetDown(true);
   ResetVolatileState();  // in-flight copies are orphaned; MSUs finish or abort alone
   expiry_token_.Cancel();
@@ -327,9 +294,7 @@ void Coordinator::Restart() {
     // recordings now belong to the new primary and must not be corrupted.
     node_->SetDown(false);
     crashed_ = false;
-    if (trace_ != nullptr) {
-      trace_->Instant(trace_track_, metrics_prefix_, "restart", "rejoining as standby");
-    }
+    trace_.Instant(trace_track_, metrics_prefix_, "restart", "rejoining as standby");
     BecomeStandby();
     if (params_.rebalance.enabled) {
       RebalanceLoop();  // the crash broke the loop; it idles until primary
@@ -353,9 +318,7 @@ void Coordinator::Restart() {
   }
   node_->SetDown(false);  // the TCP listener survives on the node
   crashed_ = false;
-  if (trace_ != nullptr) {
-    trace_->Instant(trace_track_, metrics_prefix_, "restart");
-  }
+  trace_.Instant(trace_track_, metrics_prefix_, "restart");
   if (params_.rebalance.enabled) {
     RebalanceLoop();
   }
@@ -655,9 +618,7 @@ Co<Status> Coordinator::TryStartGroup(const PendingRequest& request) {
       for (int64_t op_id : preempt) {
         AbortReplication(op_id, "preempted by live admission");
       }
-      if (rebalance_preemptions_ != nullptr) {
-        rebalance_preemptions_->Add(static_cast<int64_t>(preempt.size()));
-      }
+      rebalance_preemptions_ += static_cast<int64_t>(preempt.size());
       placement = policy_->Place(*spec, ledger_);
     }
   }
@@ -848,17 +809,15 @@ Co<MessageBody> Coordinator::HandlePlay(TcpConn* conn, const PlayRequest& reques
       // coalesce into a batch like any other viewer.
     }
     // Coalesce with other requests for this title; the first waiter opens
-    // the window and FlushShareBatch closes it after batch_window. The
+    // the window and FlushShareBatch closes it after kShareBatchWindow. The
     // client's WaitForGroupReady tolerates the delay.
     const bool first = !share_batches_.contains(pending.content);
     Replicate(ReplRecord{ReplBatchJoined(pending)});
     if (first) {
       FlushShareBatch(pending.content);
     }
-    if (trace_ != nullptr) {
-      trace_->Instant(trace_track_, metrics_prefix_, "share-batch",
-                      pending.content + " group " + std::to_string(pending.group));
-    }
+    trace_.Instant(trace_track_, metrics_prefix_, "share-batch",
+                   pending.content + " group " + std::to_string(pending.group));
     co_return MessageBody{PlayResponse{true, "", pending.group, false}};
   }
 
@@ -928,7 +887,7 @@ double Coordinator::DecayedPopularity(const std::string& content) const {
 }
 
 bool Coordinator::IsHot(const std::string& content) const {
-  return DecayedPopularity(content) >= params_.sharing.hot_threshold;
+  return DecayedPopularity(content) >= kHotThreshold;
 }
 
 const Coordinator::SharedGroup* Coordinator::FindAttachTarget(const std::string& content) const {
@@ -937,7 +896,7 @@ const Coordinator::SharedGroup* Coordinator::FindAttachTarget(const std::string&
     if (group.content != content || group.member_count <= 0 || !ledger_.IsUp(group.msu)) {
       continue;
     }
-    if (now - group.started_at <= params_.sharing.cache_horizon) {
+    if (now - group.started_at <= kCacheHorizon) {
       return &group;
     }
   }
@@ -990,19 +949,15 @@ Co<Status> Coordinator::StartCacheAttach(PendingRequest request, SharedGroup tar
   if (!attached.ok()) {
     co_return attached;  // the caller falls back to a batch
   }
-  if (groups_attaches_ != nullptr) {
-    groups_attaches_->Add();
-  }
-  if (trace_ != nullptr) {
-    trace_->Instant(trace_track_, metrics_prefix_, "cache-attach",
-                    request.content + " group " + std::to_string(request.group) + " on " +
-                        target.msu);
-  }
+  ++groups_attaches_;
+  trace_.Instant(trace_track_, metrics_prefix_, "cache-attach",
+                 request.content + " group " + std::to_string(request.group) + " on " +
+                     target.msu);
   co_return OkStatus();
 }
 
 Task Coordinator::FlushShareBatch(std::string content) {
-  co_await machine_->sim().Delay(params_.sharing.batch_window);
+  co_await machine_->sim().Delay(kShareBatchWindow);
   if (crashed_ || !is_primary()) {
     co_return;  // the crash dropped the batch; a standby's shadow waits for takeover
   }
@@ -1118,16 +1073,10 @@ Co<void> Coordinator::StartSharedGroup(std::string content,
   for (const PendingRequest& request : live) {
     RecordAdmission("share", request, OkStatus(), admit_start);
   }
-  if (groups_formed_ != nullptr) {
-    groups_formed_->Add();
-  }
-  if (groups_members_ != nullptr) {
-    groups_members_->Add(static_cast<int64_t>(live.size()));
-  }
-  if (trace_ != nullptr) {
-    trace_->Span(trace_track_, metrics_prefix_, "share-group", admit_start,
-                 content + " x" + std::to_string(live.size()) + " on " + placement->msu);
-  }
+  ++groups_formed_;
+  groups_members_ += static_cast<int64_t>(live.size());
+  trace_.Span(trace_track_, metrics_prefix_, "share-group", admit_start,
+              content + " x" + std::to_string(live.size()) + " on " + placement->msu);
 }
 
 Co<MessageBody> Coordinator::HandleSharedMemberSplit(const SharedMemberSplit& split) {
@@ -1139,14 +1088,10 @@ Co<MessageBody> Coordinator::HandleSharedMemberSplit(const SharedMemberSplit& sp
     // parked re-admission was re-queued at takeover.
     co_return MessageBody{SimpleResponse{true, ""}};
   }
-  if (groups_splits_ != nullptr) {
-    groups_splits_->Add();
-  }
-  if (trace_ != nullptr) {
-    trace_->Instant(trace_track_, metrics_prefix_, "share-split",
-                    "group " + std::to_string(split.group) + " off delivery " +
-                        std::to_string(split.delivery_stream));
-  }
+  ++groups_splits_;
+  trace_.Instant(trace_track_, metrics_prefix_, "share-split",
+                 "group " + std::to_string(split.group) + " off delivery " +
+                     std::to_string(split.delivery_stream));
   // Re-admit the member as the solo stream the split record parked. FF/FB
   // split at the current offset and the client re-issues the scan against
   // its now-solo stream.
@@ -1173,18 +1118,15 @@ Task Coordinator::RebalanceLoop() {
   }
   rebalance_loop_running_ = true;
   while (!crashed_) {
-    co_await machine_->sim().Delay(params_.rebalance.interval);
+    co_await machine_->sim().Delay(kRebalanceInterval);
     if (crashed_) {
       break;
     }
     if (!is_primary()) {
       continue;  // the standby mirrors in-flight ops but never plans
     }
-    if (rebalance_ticks_ != nullptr) {
-      rebalance_ticks_->Add();
-    }
-    const int slots =
-        params_.rebalance.max_concurrent_copies - static_cast<int>(repl_ops_.size());
+    ++rebalance_ticks_;
+    const int slots = kMaxConcurrentCopies - static_cast<int>(repl_ops_.size());
     RebalancePlan plan = PlanRebalance(BuildRebalanceSnapshot(), params_.rebalance, slots);
     for (const DemoteAction& demote : plan.demotes) {
       if (crashed_ || !is_primary()) {
@@ -1331,14 +1273,10 @@ Co<void> Coordinator::StartReplication(CopyAction action) {
   // space) so placement routes live admissions around it, and replicate the
   // op so a standby takeover keeps the plan.
   Replicate(ReplRecord{op});
-  if (rebalance_copies_started_ != nullptr) {
-    rebalance_copies_started_->Add();
-  }
-  if (trace_ != nullptr) {
-    trace_->Instant(trace_track_, metrics_prefix_, "rebalance-copy",
-                    op.content + " " + op.source_msu + " -> " + op.target_msu + " op " +
-                        std::to_string(op_id));
-  }
+  ++rebalance_copies_started_;
+  trace_.Instant(trace_track_, metrics_prefix_, "rebalance-copy",
+                 op.content + " " + op.source_msu + " -> " + op.target_msu + " op " +
+                     std::to_string(op_id));
 }
 
 Co<void> Coordinator::ExecuteDemotion(DemoteAction action) {
@@ -1367,13 +1305,9 @@ Co<void> Coordinator::ExecuteDemotion(DemoteAction action) {
   if (!found) {
     co_return;
   }
-  if (rebalance_demotions_ != nullptr) {
-    rebalance_demotions_->Add();
-  }
-  if (trace_ != nullptr) {
-    trace_->Instant(trace_track_, metrics_prefix_, "rebalance-demote",
-                    action.content + " off " + action.msu);
-  }
+  ++rebalance_demotions_;
+  trace_.Instant(trace_track_, metrics_prefix_, "rebalance-demote",
+                 action.content + " off " + action.msu);
   SendDeleteFile(action.msu, action.file);
 }
 
@@ -1403,13 +1337,9 @@ void Coordinator::HandleReplicaInstalled(const ReplicaInstalled& note) {
     location.dynamic = true;
     (*record)->locations.push_back(std::move(location));
   }
-  if (rebalance_copies_installed_ != nullptr) {
-    rebalance_copies_installed_->Add();
-  }
-  if (trace_ != nullptr) {
-    trace_->Instant(trace_track_, metrics_prefix_, "rebalance-installed",
-                    note.content + " on " + note.msu_node + " op " + std::to_string(note.op));
-  }
+  ++rebalance_copies_installed_;
+  trace_.Instant(trace_track_, metrics_prefix_, "rebalance-installed",
+                 note.content + " on " + note.msu_node + " op " + std::to_string(note.op));
   // Queued requests — the flash crowd — can now land on the fresh replica.
   RetryPendingQueue();
 }
@@ -1430,13 +1360,9 @@ void Coordinator::AbortReplication(int64_t op_id, const std::string& reason) {
   }
   const ReplOp op = it->second;
   Replicate(ReplRecord{ReplReplicationEnded(op_id, /*installed=*/false)});
-  if (rebalance_copies_aborted_ != nullptr) {
-    rebalance_copies_aborted_->Add();
-  }
-  if (trace_ != nullptr) {
-    trace_->Instant(trace_track_, metrics_prefix_, "rebalance-abort",
-                    op.content + " op " + std::to_string(op_id) + ": " + reason);
-  }
+  ++rebalance_copies_aborted_;
+  trace_.Instant(trace_track_, metrics_prefix_, "rebalance-abort",
+                 op.content + " op " + std::to_string(op_id) + ": " + reason);
   SendAbortCopy(op.source_msu, op_id);
   SendAbortCopy(op.target_msu, op_id);
 }
@@ -1648,23 +1574,20 @@ Co<MessageBody> Coordinator::HandleMsuRegister(TcpConn* conn, const MsuRegisterR
       }
     }
   }
-  if (metrics_ != nullptr) {
-    // Per-disk ledger gauges; SetGaugeCallback overwrites on re-registration
-    // so MSU restarts do not stack stale callbacks.
-    const std::string prefix = metrics_prefix_ + ".ledger." + request.msu_node + ".";
-    for (int d = 0; d < request.disk_count; ++d) {
-      metrics_->SetGaugeCallback(
-          prefix + "disk" + std::to_string(d) + ".reserved_kbps",
-          [this, node = request.msu_node, d] { return ledger_.DiskLoad(node, d).bits_per_sec() / 1000; });
-    }
-    metrics_->SetGaugeCallback(prefix + "free_mib", [this, node = request.msu_node] {
-      return ledger_.FreeSpace(node).count() / (1024 * 1024);
-    });
+  // Per-disk ledger gauges; SetGaugeCallback overwrites on re-registration
+  // so MSU restarts do not stack stale callbacks.
+  const std::string prefix = metrics_prefix_ + ".ledger." + request.msu_node + ".";
+  for (int d = 0; d < request.disk_count; ++d) {
+    metrics_.SetGaugeCallback(prefix + "disk" + std::to_string(d) + ".reserved_kbps",
+                              [this, node = request.msu_node, d] {
+                                return ledger_.DiskLoad(node, d).bits_per_sec() / 1000;
+                              });
   }
-  if (trace_ != nullptr) {
-    trace_->Instant(trace_track_, metrics_prefix_, "msu-register",
-                    request.msu_node + (warm ? " (warm)" : ""));
-  }
+  metrics_.SetGaugeCallback(prefix + "free_mib", [this, node = request.msu_node] {
+    return ledger_.FreeSpace(node).count() / (1024 * 1024);
+  });
+  trace_.Instant(trace_track_, metrics_prefix_, "msu-register",
+                 request.msu_node + (warm ? " (warm)" : ""));
   RetryPendingQueue();
   co_return MessageBody{std::move(ack)};
 }
@@ -1745,9 +1668,7 @@ void Coordinator::MarkMsuDown(MsuInfo& msu) {
   // unique stream; the delivery stream's group has no request and is dropped
   // silently once its hold is released.
   Replicate(ReplRecord{ReplMsuDown(msu.node)});
-  if (trace_ != nullptr) {
-    trace_->Instant(trace_track_, metrics_prefix_, "msu-down", msu.node);
-  }
+  trace_.Instant(trace_track_, metrics_prefix_, "msu-down", msu.node);
 
   // In-flight background copies reading from or writing to the dead MSU die
   // with it; the surviving end is told to stop and the holds are refunded.
@@ -1791,9 +1712,7 @@ void Coordinator::MarkMsuDown(MsuInfo& msu) {
       if (have_request && resume.record) {
         (void)catalog_->RemoveContent(resume.content);  // composite parent, if any
       }
-      if (recordings_lost_ != nullptr) {
-        recordings_lost_->Add();
-      }
+      ++recordings_lost_;
       CALLIOPE_LOG(kWarning, "coord")
           << "MSU " << msu.node << " failed; recording group " << group << " lost";
       if (have_request) {
@@ -1823,17 +1742,13 @@ Task Coordinator::FailoverGroup(PendingRequest request) {
     co_return;  // client went away; nobody is watching this group
   }
   const Status started = co_await TryStartGroup(request);
-  if (trace_ != nullptr) {
-    const char* verdict = started.ok() ? "resumed"
-                          : started.code() == StatusCode::kResourceExhausted ? "queued"
-                                                                             : "failed";
-    trace_->Span(trace_track_, metrics_prefix_, "failover", failover_start,
-                 "group " + std::to_string(request.group) + " " + verdict);
-  }
+  const char* verdict = started.ok() ? "resumed"
+                        : started.code() == StatusCode::kResourceExhausted ? "queued"
+                                                                           : "failed";
+  trace_.Span(trace_track_, metrics_prefix_, "failover", failover_start,
+              "group " + std::to_string(request.group) + " " + verdict);
   if (started.ok()) {
-    if (failover_groups_ != nullptr) {
-      failover_groups_->Add();
-    }
+    ++failover_groups_;
     CALLIOPE_LOG(kInfo, "coord") << "group " << request.group
                                  << " failed over to a surviving replica";
     co_return;
@@ -1857,7 +1772,7 @@ void Coordinator::DropRequest(PendingRequest request, const Status& error) {
   CALLIOPE_LOG(kWarning, "coord") << "request for '" << request.content << "' (group "
                                   << request.group << ") dropped: " << error.ToString();
   Replicate(ReplRecord{ReplPendingPopped(request.group, /*retrying=*/false)});
-  CountRequestLost();
+  ++requests_lost_count_;
   NotifyRequestFailed(std::move(request), error);
 }
 
@@ -1931,14 +1846,12 @@ bool Coordinator::EnqueuePending(PendingRequest request, bool requeue) {
     const int cap = QueueCapFor(request.admission_class);
     if (cap > 0 && pending_count_for(request.admission_class) >= static_cast<size_t>(cap)) {
       const size_t klass = static_cast<size_t>(request.admission_class);
-      if (klass < kAdmissionClassCount && class_shed_[klass] != nullptr) {
-        class_shed_[klass]->Add();
+      if (klass < kAdmissionClassCount) {
+        ++class_shed_[klass];
       }
-      if (trace_ != nullptr) {
-        trace_->Instant(trace_track_, metrics_prefix_, "queue-full",
-                        std::string(AdmissionClassName(request.admission_class)) + " " +
-                            request.content + " group " + std::to_string(request.group));
-      }
+      trace_.Instant(trace_track_, metrics_prefix_, "queue-full",
+                     std::string(AdmissionClassName(request.admission_class)) + " " +
+                         request.content + " group " + std::to_string(request.group));
       return false;
     }
   }
@@ -1974,9 +1887,9 @@ SimTime Coordinator::QueueDeadlineFor(AdmissionClass klass) const {
 int Coordinator::QueueCapFor(AdmissionClass klass) const {
   switch (klass) {
     case AdmissionClass::kInteractive:
-      return params_.traffic.interactive_queue_cap;
+      return kInteractiveQueueCap;
     case AdmissionClass::kStandard:
-      return params_.traffic.standard_queue_cap;
+      return kStandardQueueCap;
     case AdmissionClass::kBulk:
       return params_.traffic.bulk_queue_cap;
   }
@@ -2037,17 +1950,12 @@ void Coordinator::RunExpirySweep() {
   }
   for (PendingRequest& request : expired) {
     ++requests_expired_count_;
-    if (requests_expired_metric_ != nullptr) {
-      requests_expired_metric_->Add();
-    }
     const size_t klass = static_cast<size_t>(request.admission_class);
-    if (klass < kAdmissionClassCount && class_expired_[klass] != nullptr) {
-      class_expired_[klass]->Add();
+    if (klass < kAdmissionClassCount) {
+      ++class_expired_[klass];
     }
-    if (trace_ != nullptr) {
-      trace_->Instant(trace_track_, metrics_prefix_, "pending-expired",
-                      request.content + " group " + std::to_string(request.group));
-    }
+    trace_.Instant(trace_track_, metrics_prefix_, "pending-expired",
+                   request.content + " group " + std::to_string(request.group));
     DropRequest(std::move(request), DeadlineExceededError("queued past deadline"));
   }
   ScheduleExpirySweep();
@@ -2059,7 +1967,7 @@ Task Coordinator::ShedGovernorLoop() {
   }
   governor_loop_running_ = true;
   while (!crashed_) {
-    co_await machine_->sim().Delay(params_.traffic.governor_interval);
+    co_await machine_->sim().Delay(kGovernorInterval);
     if (crashed_) {
       break;
     }
@@ -2071,28 +1979,20 @@ Task Coordinator::ShedGovernorLoop() {
       if (shed_active_) {
         shed_active_ = false;
         rebalance_paused_ = false;
-        if (trace_ != nullptr) {
-          trace_->Instant(trace_track_, metrics_prefix_, "shed-clear");
-        }
+        trace_.Instant(trace_track_, metrics_prefix_, "shed-clear");
       }
       continue;
     }
     if (!shed_active_) {
       shed_active_ = true;
-      if (shed_episodes_ != nullptr) {
-        shed_episodes_->Add();
-      }
-      if (trace_ != nullptr) {
-        trace_->Instant(trace_track_, metrics_prefix_, "shed-start");
-      }
+      ++shed_episodes_;
+      trace_.Instant(trace_track_, metrics_prefix_, "shed-start");
     }
     // Bulk replication is the first casualty: pause the planner and abort
     // in-flight copies so their disk and NIC bandwidth serves viewers.
     if (params_.rebalance.enabled && !rebalance_paused_) {
       rebalance_paused_ = true;
-      if (shed_rebalance_paused_ != nullptr) {
-        shed_rebalance_paused_->Add();
-      }
+      ++shed_rebalance_paused_;
       std::vector<int64_t> inflight;
       for (const auto& [op_id, op] : repl_ops_) {
         inflight.push_back(op_id);
@@ -2106,7 +2006,7 @@ Task Coordinator::ShedGovernorLoop() {
     }
     // Shed queued requests newest-first, bulk before standard; interactive
     // traffic is never shed.
-    int budget = params_.traffic.shed_per_tick;
+    int budget = kShedPerTick;
     for (AdmissionClass klass : {AdmissionClass::kBulk, AdmissionClass::kStandard}) {
       while (budget > 0) {
         auto victim = pending_.end();
@@ -2141,29 +2041,21 @@ Co<void> Coordinator::ShedRequest(PendingRequest request) {
     if (target != nullptr) {
       const Status attached = co_await StartCacheAttach(request, *target);
       if (attached.ok()) {
-        if (shed_degraded_ != nullptr) {
-          shed_degraded_->Add();
-        }
-        if (trace_ != nullptr) {
-          trace_->Instant(trace_track_, metrics_prefix_, "shed-degrade",
-                          request.content + " group " + std::to_string(request.group));
-        }
+        ++shed_degraded_;
+        trace_.Instant(trace_track_, metrics_prefix_, "shed-degrade",
+                       request.content + " group " + std::to_string(request.group));
         co_return;
       }
     }
   }
   const size_t klass = static_cast<size_t>(request.admission_class);
-  if (klass < kAdmissionClassCount && class_shed_[klass] != nullptr) {
-    class_shed_[klass]->Add();
+  if (klass < kAdmissionClassCount) {
+    ++class_shed_[klass];
   }
-  if (shed_rejected_ != nullptr) {
-    shed_rejected_->Add();
-  }
-  if (trace_ != nullptr) {
-    trace_->Instant(trace_track_, metrics_prefix_, "shed",
-                    std::string(AdmissionClassName(request.admission_class)) + " " +
-                        request.content + " group " + std::to_string(request.group));
-  }
+  ++shed_rejected_;
+  trace_.Instant(trace_track_, metrics_prefix_, "shed",
+                 std::string(AdmissionClassName(request.admission_class)) + " " +
+                     request.content + " group " + std::to_string(request.group));
   DropRequest(std::move(request), UnavailableError("shed under overload"));
 }
 

@@ -48,20 +48,11 @@ struct SharingConfig {
   SharingConfig() = default;
 
   bool enabled = false;
-  // Requests for the same title arriving within this window coalesce into one
-  // shared delivery group fed by a single disk stream. Must stay well under
-  // the client's WaitForGroupReady timeout (60s).
-  SimTime batch_window = SimTime::Millis(500);
-  // A viewer arriving within this much media time of a live shared group's
-  // playback position attaches as a cache-fed solo stream (no disk bandwidth
-  // reserved) instead of opening a new batch.
-  SimTime cache_horizon = SimTime::Seconds(8);
   // Per-title popularity EWMA half-life; a bump decays by half every
-  // `popularity_halflife` of simulated time.
+  // `popularity_halflife` of simulated time. A title whose EWMA reaches
+  // kHotThreshold counts as hot: new delivery streams pin its prefix pages in
+  // the serving MSU's page cache.
   SimTime popularity_halflife = SimTime::Seconds(60);
-  // EWMA value at which a title counts as hot and new delivery streams pin
-  // its prefix pages in the serving MSU's page cache.
-  double hot_threshold = 3.0;
 };
 
 // SLO-driven traffic control (DESIGN §5.9). Disabled by default: with
@@ -75,11 +66,10 @@ struct TrafficControlConfig {
   TrafficControlConfig() = default;
 
   bool enabled = false;
-  // Bounded per-class pending queues: a request arriving to a full class
-  // queue is rejected immediately (reject-newest) instead of deepening the
-  // backlog. Zero = unbounded.
-  int interactive_queue_cap = 64;
-  int standard_queue_cap = 32;
+  // Bound on the bulk class's pending queue (the interactive and standard
+  // queues hold 64 and 32): a request arriving to a full class queue is
+  // rejected immediately (reject-newest) instead of deepening the backlog.
+  // Zero = unbounded.
   int bulk_queue_cap = 8;
   // Per-class queue deadlines; zero falls back to
   // CoordinatorParams::pending_deadline. Interactive waits the least: a
@@ -87,15 +77,6 @@ struct TrafficControlConfig {
   SimTime interactive_deadline = SimTime::Seconds(10);
   SimTime standard_deadline = SimTime::Seconds(30);
   SimTime bulk_deadline = SimTime::Seconds(120);
-  // Saturation-governor cadence. Each tick consults the overload probe
-  // (Installation wires it to a MetricsSampler SLO monitor) and sheds while
-  // the probe reports a breach.
-  SimTime governor_interval = SimTime::Millis(500);
-  // Queued requests shed per governor tick, newest-first, bulk before
-  // standard. Bounded so one long breach degrades gradually rather than
-  // emptying the queue in a single burst. With sharing on, a shed viewer
-  // first tries a cache-horizon attach (no disk bandwidth).
-  int shed_per_tick = 4;
 };
 
 struct CoordinatorParams {
@@ -110,8 +91,6 @@ struct CoordinatorParams {
   // Placement policy name (see PlacementPolicyRegistry::WithBuiltins);
   // unknown names fall back to the historical least-loaded behavior.
   std::string placement_policy = "least-loaded";
-  // Seed for stochastic policies (power-of-two), so runs stay reproducible.
-  uint64_t placement_seed = 1996;
   // Warm-standby pairing; disabled by default (single Coordinator).
   HaConfig ha;
   // Stream sharing; disabled by default. Works with or without HA: shared
@@ -135,12 +114,14 @@ struct CoordinatorParams {
 
 class Coordinator {
  public:
-  Coordinator(Machine& machine, NetNode& node, Catalog catalog,
-              CoordinatorParams params = CoordinatorParams());
   // HA pairs share one Catalog instance — the paper's durable database, which
-  // both coordinators mount. Single-coordinator callers keep the by-value
-  // constructor above.
+  // both coordinators mount. Publishes admission/failover/ledger instruments
+  // into `metrics` and scheduling events into `trace`; both must outlive the
+  // Coordinator. Instrument names start with "coord", or "coord2" for a
+  // Coordinator that starts as an HA standby, so the pair stays
+  // distinguishable.
   Coordinator(Machine& machine, NetNode& node, std::shared_ptr<Catalog> catalog,
+              MetricsRegistry& metrics, TraceRecorder& trace,
               CoordinatorParams params = CoordinatorParams());
 
   Coordinator(const Coordinator&) = delete;
@@ -204,13 +185,6 @@ class Coordinator {
   // Queued requests currently waiting in `klass`.
   size_t pending_count_for(AdmissionClass klass) const;
 
-  // Publishes admission/failover/ledger instruments into `metrics` and
-  // scheduling events into `trace`. Either may be null (standalone
-  // construction in unit tests). `prefix` keys the instrument names so an HA
-  // pair's coordinators stay distinguishable ("coord" vs "coord2").
-  void AttachObservability(MetricsRegistry* metrics, TraceRecorder* trace,
-                           std::string prefix = "coord");
-
  private:
   // Connection bookkeeping only; capacity and load live in the ledger.
   struct MsuInfo {
@@ -238,6 +212,8 @@ class Coordinator {
   };
 
   // ---- wiring ----
+  // Publishes every tally by pull; a feature's family only when it is on.
+  void PublishMetrics();
   void OnAccept(TcpConn* conn);
   Co<MessageBody> Dispatch(TcpConn* conn, MessageArg body);
   void OnConnClosed(TcpConn* conn);
@@ -401,8 +377,6 @@ class Coordinator {
   // bumps the right counter and emits an "admit" span for the decision.
   void RecordAdmission(const char* kind, const PendingRequest& request, const Status& outcome,
                        SimTime start);
-  // Bumps the lost-requests counter for a queued request dropped for good.
-  void CountRequestLost(int64_t count = 1);
 
   // Epoch stamped on data-path messages and session replies (zero without HA).
   int64_t wire_epoch() const { return params_.ha.enabled ? epoch_ : 0; }
@@ -500,43 +474,40 @@ class Coordinator {
   std::unique_ptr<Condition> oplog_cond_;  // wakes the shipping loop
   std::unique_ptr<Condition> flush_cond_;  // wakes SyncReplicate waiters
 
-  // Observability (null when not attached). Counter pointers are cached once
-  // at attach time; callbacks pull gauges at snapshot time.
-  MetricsRegistry* metrics_ = nullptr;
-  TraceRecorder* trace_ = nullptr;
-  std::string metrics_prefix_ = "coord";
-  std::string trace_track_ = "coordinator";
-  Counter* admit_accepted_ = nullptr;
-  Counter* admit_rejected_ = nullptr;
-  Counter* admit_queued_ = nullptr;
-  Counter* failover_groups_ = nullptr;
-  Counter* groups_formed_ = nullptr;     // shared delivery groups started
-  Counter* groups_members_ = nullptr;    // viewers admitted through a batch
-  Counter* groups_attaches_ = nullptr;   // cache-fed trailing-viewer admits
-  Counter* groups_splits_ = nullptr;     // members split out by VCR ops
-  Counter* recordings_lost_ = nullptr;
-  Counter* requests_lost_metric_ = nullptr;
-  Counter* takeovers_metric_ = nullptr;
-  Counter* repl_batches_ = nullptr;
-  Counter* repl_records_shipped_ = nullptr;
-  Histogram* takeover_gap_us_ = nullptr;
-  Counter* rebalance_ticks_ = nullptr;
-  Counter* rebalance_copies_started_ = nullptr;
-  Counter* rebalance_copies_installed_ = nullptr;
-  Counter* rebalance_copies_aborted_ = nullptr;
-  Counter* rebalance_preemptions_ = nullptr;
-  Counter* rebalance_demotions_ = nullptr;
-  Counter* requests_expired_metric_ = nullptr;
-  // Per-class admission counters, indexed by AdmissionClass value; null
-  // unless traffic control is enabled.
-  Counter* class_accepted_[kAdmissionClassCount] = {};
-  Counter* class_queued_[kAdmissionClassCount] = {};
-  Counter* class_shed_[kAdmissionClassCount] = {};
-  Counter* class_expired_[kAdmissionClassCount] = {};
-  Counter* shed_episodes_ = nullptr;
-  Counter* shed_rejected_ = nullptr;
-  Counter* shed_degraded_ = nullptr;
-  Counter* shed_rebalance_paused_ = nullptr;
+  // Observability. Every count the Coordinator publishes is a plain tally
+  // (these, plus the requests_*_ and takeovers_count_ tallies above) pulled
+  // at snapshot time; a family whose feature is off is never registered, so
+  // its tallies stay unpublished.
+  MetricsRegistry& metrics_;
+  TraceRecorder& trace_;
+  std::string metrics_prefix_;  // "coord", or "coord2" for a starting standby
+  std::string trace_track_;
+  int64_t admit_accepted_ = 0;
+  int64_t admit_rejected_ = 0;
+  int64_t admit_queued_ = 0;
+  int64_t failover_groups_ = 0;
+  int64_t recordings_lost_ = 0;
+  int64_t groups_formed_ = 0;    // shared delivery groups started
+  int64_t groups_members_ = 0;   // viewers admitted through a batch
+  int64_t groups_attaches_ = 0;  // cache-fed trailing-viewer admits
+  int64_t groups_splits_ = 0;    // members split out by VCR ops
+  int64_t repl_batches_ = 0;
+  int64_t repl_records_shipped_ = 0;
+  int64_t rebalance_ticks_ = 0;
+  int64_t rebalance_copies_started_ = 0;
+  int64_t rebalance_copies_installed_ = 0;
+  int64_t rebalance_copies_aborted_ = 0;
+  int64_t rebalance_preemptions_ = 0;
+  int64_t rebalance_demotions_ = 0;
+  // Per-class admission tallies, indexed by AdmissionClass value.
+  int64_t class_accepted_[kAdmissionClassCount] = {};
+  int64_t class_queued_[kAdmissionClassCount] = {};
+  int64_t class_shed_[kAdmissionClassCount] = {};
+  int64_t class_expired_[kAdmissionClassCount] = {};
+  int64_t shed_episodes_ = 0;
+  int64_t shed_rejected_ = 0;
+  int64_t shed_degraded_ = 0;
+  int64_t shed_rebalance_paused_ = 0;
 };
 
 }  // namespace calliope

@@ -42,10 +42,7 @@ void Coordinator::BecomeStandby() {
   repl_conn_ = nullptr;
   standby_since_ = machine_->sim().Now();
   last_append_ = standby_since_;
-  if (trace_ != nullptr) {
-    trace_->Instant(trace_track_, metrics_prefix_, "standby",
-                    "epoch " + std::to_string(epoch_));
-  }
+  trace_.Instant(trace_track_, metrics_prefix_, "standby", "epoch " + std::to_string(epoch_));
   StandbyWatchdog();
 }
 
@@ -157,21 +154,15 @@ Task Coordinator::ReplicationLoop() {
     if (snapshot) {
       peer_joined_ = true;
       need_snapshot_ = false;
-      if (trace_ != nullptr) {
-        trace_->Instant(trace_track_, metrics_prefix_, "standby-joined",
-                        std::to_string(batch_size) + " snapshot records");
-      }
+      trace_.Instant(trace_track_, metrics_prefix_, "standby-joined",
+                     std::to_string(batch_size) + " snapshot records");
     }
     if (batch_target > oplog_acked_) {
       oplog_acked_ = batch_target;
     }
     flush_cond_->NotifyAll();
-    if (repl_batches_ != nullptr) {
-      repl_batches_->Add();
-    }
-    if (repl_records_shipped_ != nullptr && batch_size > 0) {
-      repl_records_shipped_->Add(static_cast<int64_t>(batch_size));
-    }
+    ++repl_batches_;
+    repl_records_shipped_ += static_cast<int64_t>(batch_size);
     if (pending_records_.empty() && !need_snapshot_) {
       // Idle: sleep until new records or the heartbeat deadline (empty
       // batches renew the standby's lease).
@@ -567,10 +558,7 @@ void Coordinator::StepDown() {
   // Flip the role first so OnConnClosed treats the closures below as
   // housekeeping, not MSU failures.
   role_ = HaRole::kStandby;
-  if (trace_ != nullptr) {
-    trace_->Instant(trace_track_, metrics_prefix_, "stepdown",
-                    "epoch " + std::to_string(epoch_));
-  }
+  trace_.Instant(trace_track_, metrics_prefix_, "stepdown", "epoch " + std::to_string(epoch_));
   std::vector<TcpConn*> conns;
   for (auto& [name, msu] : msus_) {
     if (msu.conn != nullptr) {
@@ -620,17 +608,10 @@ void Coordinator::TakeOver(int64_t new_epoch) {
   oplog_appended_ = 0;
   oplog_acked_ = 0;
   ++takeovers_count_;
-  if (takeovers_metric_ != nullptr) {
-    takeovers_metric_->Add();
-  }
-  if (takeover_gap_us_ != nullptr) {
-    takeover_gap_us_->Record(gap.micros());
-  }
-  if (trace_ != nullptr) {
-    trace_->Instant(trace_track_, metrics_prefix_, "takeover",
-                    "epoch " + std::to_string(new_epoch) + ", gap " +
-                        std::to_string(gap.micros()) + "us");
-  }
+  metrics_.histogram(metrics_prefix_ + ".ha.takeover_gap_us").Record(gap.micros());
+  trace_.Instant(trace_track_, metrics_prefix_, "takeover",
+                 "epoch " + std::to_string(new_epoch) + ", gap " +
+                     std::to_string(gap.micros()) + "us");
   CALLIOPE_LOG(kInfo, "coord") << node_->name() << ": taking over as primary, epoch "
                                << new_epoch << " (gap " << gap.micros() << "us)";
   if (repl_in_conn_ != nullptr) {

@@ -179,8 +179,19 @@ std::string FaultPlan::ToString() const {
 
 // ---- FaultInjector ----
 
-FaultInjector::FaultInjector(Simulator& sim, Network& network, uint64_t seed)
-    : sim_(&sim), network_(&network), rng_(seed) {}
+FaultInjector::FaultInjector(Simulator& sim, Network& network, MetricsRegistry& metrics,
+                             TraceRecorder& recorder, uint64_t seed)
+    : sim_(&sim), network_(&network), rng_(seed), recorder_(recorder) {
+  metrics.SetCounterCallback("fault.disk_errors", [this] { return disk_errors_; });
+  metrics.SetCounterCallback("fault.disk_slowdowns", [this] { return disk_slowdowns_; });
+  metrics.SetCounterCallback("fault.datagrams_dropped", [this] { return datagrams_dropped_; });
+  metrics.SetCounterCallback("fault.datagrams_delayed", [this] { return datagrams_delayed_; });
+  metrics.SetCounterCallback("fault.msu_crashes", [this] { return msu_crashes_; });
+  metrics.SetCounterCallback("fault.coordinator_restarts",
+                             [this] { return coordinator_restarts_; });
+  metrics.SetCounterCallback("fault.coordinator_crashes",
+                             [this] { return coordinator_crashes_; });
+}
 
 void FaultInjector::AttachMsu(const std::string& node, Msu* msu) {
   msus_[node] = msu;
@@ -206,37 +217,14 @@ void FaultInjector::AttachStandbyCoordinator(Coordinator* coordinator, std::stri
   standby_node_ = std::move(node);
 }
 
-void FaultInjector::AttachObservability(MetricsRegistry* metrics, TraceRecorder* recorder) {
-  metrics_ = metrics;
-  recorder_ = recorder;
-  if (metrics_ == nullptr) {
-    return;
-  }
-  // Effect counters (they were always documented as counters): pull-mode
-  // counter callbacks mirroring the injector's accessors.
-  metrics_->SetCounterCallback("fault.disk_errors", [this] { return disk_errors_; });
-  metrics_->SetCounterCallback("fault.disk_slowdowns", [this] { return disk_slowdowns_; });
-  metrics_->SetCounterCallback("fault.datagrams_dropped",
-                               [this] { return datagrams_dropped_; });
-  metrics_->SetCounterCallback("fault.datagrams_delayed",
-                               [this] { return datagrams_delayed_; });
-  metrics_->SetCounterCallback("fault.msu_crashes", [this] { return msu_crashes_; });
-  metrics_->SetCounterCallback("fault.coordinator_restarts",
-                               [this] { return coordinator_restarts_; });
-  metrics_->SetCounterCallback("fault.coordinator_crashes",
-                               [this] { return coordinator_crashes_; });
-}
-
 void FaultInjector::Trace(const std::string& line) {
   if (trace_) {
     trace_("t=" + sim_->Now().ToString() + " " + line);
   }
-  if (recorder_ != nullptr) {
-    // First token as the event name, full line as detail.
-    const size_t space = line.find(' ');
-    recorder_->Instant("fault", "fault",
-                       space == std::string::npos ? line : line.substr(0, space), line);
-  }
+  // First token as the event name, full line as detail.
+  const size_t space = line.find(' ');
+  recorder_.Instant("fault", "fault", space == std::string::npos ? line : line.substr(0, space),
+                    line);
 }
 
 Task FaultInjector::RestartMsuLater(Msu* msu, SimTime delay) {
@@ -283,12 +271,12 @@ Status FaultInjector::Arm(FaultPlan plan) {
 
   for (const FaultEvent& event : plan_.events) {
     Trace("arm: " + event.ToString());
-    if (recorder_ != nullptr && event.duration > SimTime() &&
-        event.what != FaultClass::kMsuCrash && event.what != FaultClass::kCoordinatorRestart) {
+    if (event.duration > SimTime() && event.what != FaultClass::kMsuCrash &&
+        event.what != FaultClass::kCoordinatorRestart) {
       // Window faults are fully known at arm time: emit the whole window as a
       // span so the outage renders as a block in the trace viewer.
-      recorder_->SpanAt("fault", "fault", FaultClassName(event.what), event.at, event.duration,
-                        event.ToString());
+      recorder_.SpanAt("fault", "fault", FaultClassName(event.what), event.at, event.duration,
+                       event.ToString());
     }
     if (event.what == FaultClass::kMsuCrash) {
       Msu* msu = msus_[event.node];

@@ -104,7 +104,10 @@ struct FaultPlan {
 // exactly once. The injector must outlive the simulation run.
 class FaultInjector {
  public:
-  FaultInjector(Simulator& sim, Network& network, uint64_t seed);
+  // Publishes effect counters into `metrics` and arm/fire events (plus the
+  // planned fault windows as spans, at Arm()) into `recorder`.
+  FaultInjector(Simulator& sim, Network& network, MetricsRegistry& metrics,
+                TraceRecorder& recorder, uint64_t seed);
 
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
@@ -119,11 +122,6 @@ class FaultInjector {
   // One line per fault firing (crashes, restarts); window events are traced
   // when they first bite. Useful as part of a determinism fingerprint.
   void set_trace(std::function<void(const std::string&)> sink) { trace_ = std::move(sink); }
-
-  // Publishes effect counters into `metrics` and arm/fire events (plus the
-  // planned fault windows as spans) into `recorder`. Either may be null.
-  // Call before Arm() so the window spans are emitted.
-  void AttachObservability(MetricsRegistry* metrics, TraceRecorder* recorder);
 
   Status Arm(FaultPlan plan);
   const FaultPlan& plan() const { return plan_; }
@@ -157,8 +155,7 @@ class FaultInjector {
   Coordinator* standby_coordinator_ = nullptr;
   std::string standby_node_;
   std::function<void(const std::string&)> trace_;
-  MetricsRegistry* metrics_ = nullptr;
-  TraceRecorder* recorder_ = nullptr;
+  TraceRecorder& recorder_;
   // FIFO clamp per (src,dst): the sim time at which the last datagram on the
   // pair was released onto the wire; later sends never release earlier.
   std::map<std::pair<std::string, std::string>, SimTime> last_release_;

@@ -165,15 +165,16 @@ Status WorkloadDriver::Prepare() {
 }
 
 void WorkloadDriver::Start() {
+  // Every load.* counter is a stats_ tally, pulled at snapshot time.
   MetricsRegistry& metrics = installation_->metrics();
-  arrivals_metric_ = &metrics.counter("load.arrivals");
-  started_metric_ = &metrics.counter("load.requests.started");
-  queued_metric_ = &metrics.counter("load.requests.queued");
-  rejected_metric_ = &metrics.counter("load.requests.rejected");
-  failed_metric_ = &metrics.counter("load.requests.failed");
-  finished_metric_ = &metrics.counter("load.sessions.finished");
-  vcr_ops_metric_ = &metrics.counter("load.vcr.ops");
-  recordings_metric_ = &metrics.counter("load.recordings");
+  metrics.SetCounterCallback("load.arrivals", [this] { return stats_.arrivals; });
+  metrics.SetCounterCallback("load.requests.started", [this] { return stats_.started; });
+  metrics.SetCounterCallback("load.requests.queued", [this] { return stats_.queued; });
+  metrics.SetCounterCallback("load.requests.rejected", [this] { return stats_.rejected; });
+  metrics.SetCounterCallback("load.requests.failed", [this] { return stats_.failed; });
+  metrics.SetCounterCallback("load.sessions.finished", [this] { return stats_.finished; });
+  metrics.SetCounterCallback("load.vcr.ops", [this] { return stats_.vcr_ops; });
+  metrics.SetCounterCallback("load.recordings", [this] { return stats_.recordings; });
   metrics.SetGaugeCallback("load.sessions.active", [this] { return active_sessions_; });
   ArrivalLoop();
 }
@@ -204,23 +205,14 @@ void WorkloadDriver::NoteRefused(AdmissionClass klass, bool was_queued) {
   }
   if (was_queued) {
     ++stats_.failed;
-    if (failed_metric_ != nullptr) {
-      failed_metric_->Add();
-    }
   } else {
     ++stats_.rejected;
-    if (rejected_metric_ != nullptr) {
-      rejected_metric_->Add();
-    }
   }
 }
 
 Task WorkloadDriver::RunSession(SessionPlan plan, int ordinal) {
   ++stats_.arrivals;
   ++active_sessions_;
-  if (arrivals_metric_ != nullptr) {
-    arrivals_metric_->Add();
-  }
   CalliopeClient* client = clients_.at(static_cast<size_t>(plan.client_host));
   bool ok = true;
   if (!client->connected()) {
@@ -241,9 +233,6 @@ Task WorkloadDriver::RunSession(SessionPlan plan, int ordinal) {
   ++stats_.finished;
   ++finished_sessions_;
   --active_sessions_;
-  if (finished_metric_ != nullptr) {
-    finished_metric_->Add();
-  }
 }
 
 Co<void> WorkloadDriver::RunPlaySession(CalliopeClient* client, const SessionPlan& plan,
@@ -261,9 +250,6 @@ Co<void> WorkloadDriver::RunPlaySession(CalliopeClient* client, const SessionPla
   }
   if (play->queued) {
     ++stats_.queued;
-    if (queued_metric_ != nullptr) {
-      queued_metric_->Add();
-    }
   }
   const Status ready = co_await client->WaitForGroupReady(play->group, config_.ready_timeout);
   if (!ready.ok()) {
@@ -275,9 +261,6 @@ Co<void> WorkloadDriver::RunPlaySession(CalliopeClient* client, const SessionPla
   ++stats_.started;
   ++stats_.started_by_class[idx];
   started_groups_[idx].push_back(play->group);
-  if (started_metric_ != nullptr) {
-    started_metric_->Add();
-  }
   Rng ops(plan.ops_seed);
   if (plan.kind == SessionPlan::Kind::kSurfer && config_.surfer_ops_max > 0) {
     // Channel surfer: VCR ops spread across the hold, then quit.
@@ -310,9 +293,6 @@ Co<void> WorkloadDriver::RunPlaySession(CalliopeClient* client, const SessionPla
       const Status vcr = co_await client->Vcr(play->group, op, seek_to);
       if (vcr.ok()) {
         ++stats_.vcr_ops;
-        if (vcr_ops_metric_ != nullptr) {
-          vcr_ops_metric_->Add();
-        }
       }
     }
     co_await sim.Delay(slice);
@@ -338,9 +318,6 @@ Co<void> WorkloadDriver::RunRecorderSession(CalliopeClient* client, const Sessio
   }
   if (record->queued) {
     ++stats_.queued;
-    if (queued_metric_ != nullptr) {
-      queued_metric_->Add();
-    }
   }
   const Status ready = co_await client->WaitForGroupReady(record->group, config_.ready_timeout);
   if (!ready.ok()) {
@@ -350,18 +327,12 @@ Co<void> WorkloadDriver::RunRecorderSession(CalliopeClient* client, const Sessio
   ++stats_.started;
   ++stats_.started_by_class[idx];
   started_groups_[idx].push_back(record->group);
-  if (started_metric_ != nullptr) {
-    started_metric_->Add();
-  }
   auto sent = co_await client->SendRecording(record->group, 0, recording_feed_);
   (void)sent;
   if (!client->GroupTerminated(record->group)) {
     (void)co_await client->Vcr(record->group, VcrCommand::Op::kQuit);
   }
   ++stats_.recordings;
-  if (recordings_metric_ != nullptr) {
-    recordings_metric_->Add();
-  }
 }
 
 }  // namespace calliope

@@ -134,7 +134,9 @@ struct WorkloadStats {
 
 // Executes a schedule against an Installation. Construct, Prepare() (loads
 // the catalog, adds client hosts — synchronous), Start() (spawns the in-sim
-// arrival task), then pump the simulation until done().
+// arrival task), then pump the simulation until done(). Once started, the
+// driver publishes its stats by pull, so it must outlive every later
+// snapshot of the installation's metrics.
 class WorkloadDriver {
  public:
   WorkloadDriver(Installation& installation, WorkloadConfig config);
@@ -184,15 +186,6 @@ class WorkloadDriver {
   int64_t finished_sessions_ = 0;
   bool arrivals_done_ = false;
   bool prepared_ = false;
-
-  Counter* arrivals_metric_ = nullptr;
-  Counter* started_metric_ = nullptr;
-  Counter* queued_metric_ = nullptr;
-  Counter* rejected_metric_ = nullptr;
-  Counter* failed_metric_ = nullptr;
-  Counter* finished_metric_ = nullptr;
-  Counter* vcr_ops_metric_ = nullptr;
-  Counter* recordings_metric_ = nullptr;
 };
 
 }  // namespace calliope

@@ -17,9 +17,22 @@ std::vector<Disk*> MachineDisks(Machine& machine) {
   return disks;
 }
 
+// How often the MSU batches playback media offsets to the Coordinator (one
+// small message per MSU, so Coordinator CPU cost stays negligible). The
+// Coordinator uses the offsets to resume streams elsewhere after a crash.
+constexpr SimTime kProgressInterval = SimTime::Seconds(2);
+// Pages pinned per hot title when the Coordinator flags a start with
+// pin_prefix (the popularity-EWMA prefix cache).
+constexpr int64_t kCachePrefixPages = 4;
+
+std::string MsuMetric(const NetNode& node, const char* name) {
+  return "msu." + node.name() + "." + name;
+}
+
 }  // namespace
 
-Msu::Msu(Machine& machine, NetNode& node, MsuParams params)
+Msu::Msu(Machine& machine, NetNode& node, MetricsRegistry& metrics, TraceRecorder& trace,
+         MsuParams params)
     : machine_(&machine),
       node_(&node),
       params_(params),
@@ -28,8 +41,36 @@ Msu::Msu(Machine& machine, NetNode& node, MsuParams params)
       duty_cycle_(machine.params().disk, machine.params().hba, params.block_size,
                   static_cast<int>(machine.disk_count()), params.striped_layout),
       protocols_(ProtocolRegistry::WithBuiltins()),
-      buffer_pool_(machine.sim(), params.buffer_count) {
+      buffer_pool_(machine.sim(), params.buffer_count),
+      trace_(trace),
+      packets_sent_metric_(metrics.counter(MsuMetric(node, "packets_sent"))),
+      packets_late_metric_(metrics.counter(MsuMetric(node, "packets_late"))),
+      buffer_stalls_metric_(metrics.counter(MsuMetric(node, "buffer_stalls"))),
+      blocks_read_metric_(metrics.counter(MsuMetric(node, "blocks_read"))),
+      blocks_written_metric_(metrics.counter(MsuMetric(node, "blocks_written"))),
+      ibtree_reads_metric_(metrics.counter(MsuMetric(node, "ibtree_internal_reads"))),
+      send_lateness_us_(metrics.histogram(MsuMetric(node, "send_lateness_us"))),
+      flow_chunks_metric_(metrics.counter("sim.flow.chunks")),
+      flow_packets_metric_(metrics.counter("sim.flow.packets")),
+      flow_demotions_metric_(metrics.counter("sim.flow.demotions")),
+      flow_promotions_metric_(metrics.counter("sim.flow.promotions")),
+      flow_refills_metric_(metrics.counter("sim.flow.refills")),
+      cache_interval_hits_metric_(metrics.counter("sim.cache.interval_hits")),
+      cache_prefix_hits_metric_(metrics.counter("sim.cache.prefix_hits")),
+      cache_misses_metric_(metrics.counter("sim.cache.misses")),
+      cache_insertions_metric_(metrics.counter("sim.cache.insertions")),
+      cache_evictions_metric_(metrics.counter("sim.cache.evictions")),
+      repl_pages_metric_(metrics.counter("repl.pages_copied")),
+      repl_bytes_metric_(metrics.counter("repl.bytes_copied")),
+      repl_installs_metric_(metrics.counter("repl.installs")),
+      repl_aborts_metric_(metrics.counter("repl.aborts")),
+      repl_preempts_metric_(metrics.counter("repl.preemptions")) {
+  metrics.SetGaugeCallback(MsuMetric(node, "streams.active"),
+                           [this] { return static_cast<int64_t>(streams_.size()); });
   for (size_t d = 0; d < machine.disk_count(); ++d) {
+    metrics.SetGaugeCallback(MsuMetric(node, "disk") + std::to_string(d) + ".slots", [this, d] {
+      return static_cast<int64_t>(duty_cycle_.active_streams(static_cast<int>(d)));
+    });
     if (params_.elevator_scheduling) {
       machine.disk(d).set_discipline(DiskQueueDiscipline::kElevator);
     }
@@ -54,69 +95,6 @@ Msu::Msu(Machine& machine, NetNode& node, MsuParams params)
     });
   });
   ProgressReporter();
-}
-
-void Msu::AttachObservability(MetricsRegistry* metrics, TraceRecorder* trace) {
-  metrics_ = metrics;
-  trace_ = trace;
-  if (metrics_ == nullptr) {
-    packets_sent_metric_ = nullptr;
-    packets_late_metric_ = nullptr;
-    buffer_stalls_metric_ = nullptr;
-    blocks_read_metric_ = nullptr;
-    blocks_written_metric_ = nullptr;
-    ibtree_reads_metric_ = nullptr;
-    send_lateness_us_ = nullptr;
-    flow_chunks_metric_ = nullptr;
-    flow_packets_metric_ = nullptr;
-    flow_demotions_metric_ = nullptr;
-    flow_promotions_metric_ = nullptr;
-    flow_refills_metric_ = nullptr;
-    cache_interval_hits_metric_ = nullptr;
-    cache_prefix_hits_metric_ = nullptr;
-    cache_misses_metric_ = nullptr;
-    cache_insertions_metric_ = nullptr;
-    cache_evictions_metric_ = nullptr;
-    repl_pages_metric_ = nullptr;
-    repl_bytes_metric_ = nullptr;
-    repl_installs_metric_ = nullptr;
-    repl_aborts_metric_ = nullptr;
-    repl_preempts_metric_ = nullptr;
-    return;
-  }
-  // Cluster-global fidelity counters (find-or-create: all MSUs share them).
-  flow_chunks_metric_ = &metrics_->counter("sim.flow.chunks");
-  flow_packets_metric_ = &metrics_->counter("sim.flow.packets");
-  flow_demotions_metric_ = &metrics_->counter("sim.flow.demotions");
-  flow_promotions_metric_ = &metrics_->counter("sim.flow.promotions");
-  flow_refills_metric_ = &metrics_->counter("sim.flow.refills");
-  // Cluster-global interval/prefix cache counters (DESIGN §5.6).
-  cache_interval_hits_metric_ = &metrics_->counter("sim.cache.interval_hits");
-  cache_prefix_hits_metric_ = &metrics_->counter("sim.cache.prefix_hits");
-  cache_misses_metric_ = &metrics_->counter("sim.cache.misses");
-  cache_insertions_metric_ = &metrics_->counter("sim.cache.insertions");
-  cache_evictions_metric_ = &metrics_->counter("sim.cache.evictions");
-  // Cluster-global background-replication counters (DESIGN §5.8).
-  repl_pages_metric_ = &metrics_->counter("repl.pages_copied");
-  repl_bytes_metric_ = &metrics_->counter("repl.bytes_copied");
-  repl_installs_metric_ = &metrics_->counter("repl.installs");
-  repl_aborts_metric_ = &metrics_->counter("repl.aborts");
-  repl_preempts_metric_ = &metrics_->counter("repl.preemptions");
-  const std::string prefix = "msu." + node_->name() + ".";
-  packets_sent_metric_ = &metrics_->counter(prefix + "packets_sent");
-  packets_late_metric_ = &metrics_->counter(prefix + "packets_late");
-  buffer_stalls_metric_ = &metrics_->counter(prefix + "buffer_stalls");
-  blocks_read_metric_ = &metrics_->counter(prefix + "blocks_read");
-  blocks_written_metric_ = &metrics_->counter(prefix + "blocks_written");
-  ibtree_reads_metric_ = &metrics_->counter(prefix + "ibtree_internal_reads");
-  send_lateness_us_ = &metrics_->histogram(prefix + "send_lateness_us");
-  metrics_->SetGaugeCallback(prefix + "streams.active",
-                             [this] { return static_cast<int64_t>(streams_.size()); });
-  for (size_t d = 0; d < machine_->disk_count(); ++d) {
-    metrics_->SetGaugeCallback(prefix + "disk" + std::to_string(d) + ".slots", [this, d] {
-      return static_cast<int64_t>(duty_cycle_.active_streams(static_cast<int>(d)));
-    });
-  }
 }
 
 Task Msu::DiskProcess(int disk_index) {
@@ -391,7 +369,7 @@ Result<std::unique_ptr<MsuStream>> Msu::AdmitStream(const MsuStartGroup& launch,
     if (spec.pin_prefix) {
       // Popularity-EWMA hot title: pin its first pages so every fresh viewer
       // reads the startup burst from memory.
-      page_cache_.PinPrefix(spec.file, params_.cache_prefix_pages);
+      page_cache_.PinPrefix(spec.file, kCachePrefixPages);
     }
   }
   stream->disk_ = stream->file_->home_disk();
@@ -549,10 +527,8 @@ const char* VcrOpName(VcrCommand::Op op) {
 }  // namespace
 
 Co<MessageBody> Msu::HandleVcr(VcrCommand command) {
-  if (trace_ != nullptr) {
-    trace_->Instant(node_->name(), "msu", std::string("vcr:") + VcrOpName(command.op),
-                    "group " + std::to_string(command.group));
-  }
+  trace_.Instant(node_->name(), "msu", std::string("vcr:") + VcrOpName(command.op),
+                 "group " + std::to_string(command.group));
   auto group_it = groups_.find(command.group);
   if (group_it == groups_.end()) {
     co_return MessageBody{VcrAck{false, "no such stream group"}};
@@ -661,11 +637,9 @@ Co<MessageBody> Msu::SplitSharedMember(MsuStream& stream, GroupId group, VcrComm
   split.bytes_moved = member.bytes_moved;
   split.op = command.op;
   split.seek_to = command.seek_to;
-  if (trace_ != nullptr) {
-    trace_->Instant(node_->name(), "msu", "shared-split",
-                    "group " + std::to_string(group) + " off stream " +
-                        std::to_string(stream.id()));
-  }
+  trace_.Instant(node_->name(), "msu", "shared-split",
+                 "group " + std::to_string(group) + " off stream " +
+                     std::to_string(stream.id()));
   SendSplitToCoordinator(std::move(split));
   // Drop the member's old group entry; the Coordinator's solo re-admission
   // dials the client a fresh control conn (the client treats it as a
@@ -723,17 +697,13 @@ const DataPage* Msu::CacheLookup(const std::string& file, size_t page_index) {
   }
   const MsuPageCache::LookupResult result = page_cache_.Lookup(file, page_index);
   if (result.page == nullptr) {
-    if (cache_misses_metric_ != nullptr) {
-      cache_misses_metric_->Add();
-    }
+    cache_misses_metric_.Add();
     return nullptr;
   }
   if (result.kind == MsuPageCache::HitKind::kPrefix) {
-    if (cache_prefix_hits_metric_ != nullptr) {
-      cache_prefix_hits_metric_->Add();
-    }
-  } else if (cache_interval_hits_metric_ != nullptr) {
-    cache_interval_hits_metric_->Add();
+    cache_prefix_hits_metric_.Add();
+  } else {
+    cache_interval_hits_metric_.Add();
   }
   return result.page;
 }
@@ -743,13 +713,10 @@ void Msu::CacheInsert(const std::string& file, size_t page_index, const DataPage
     return;
   }
   const int64_t evictions_before = page_cache_.evictions();
-  if (page_cache_.Insert(file, page_index, page) && cache_insertions_metric_ != nullptr) {
-    cache_insertions_metric_->Add();
+  if (page_cache_.Insert(file, page_index, page)) {
+    cache_insertions_metric_.Add();
   }
-  const int64_t evicted = page_cache_.evictions() - evictions_before;
-  if (evicted > 0 && cache_evictions_metric_ != nullptr) {
-    cache_evictions_metric_->Add(evicted);
-  }
+  cache_evictions_metric_.Add(page_cache_.evictions() - evictions_before);
 }
 
 void Msu::NoteDiskInteresting(int disk_index) {
@@ -765,12 +732,10 @@ void Msu::OnStreamFinished(MsuStream* stream) {
   if (it == streams_.end()) {
     return;  // already finished
   }
-  if (trace_ != nullptr) {
-    trace_->Span(node_->name(), "msu",
-                 (stream->mode() == MsuStream::Mode::kRecord ? "record:" : "play:") +
-                     stream->file_name(),
-                 stream->start_time(), "stream " + std::to_string(stream->id()) + " quiesced");
-  }
+  trace_.Span(node_->name(), "msu",
+              (stream->mode() == MsuStream::Mode::kRecord ? "record:" : "play:") +
+                  stream->file_name(),
+              stream->start_time(), "stream " + std::to_string(stream->id()) + " quiesced");
   ReleaseAdmission(*stream);
 
   // A shared delivery stream ending (end of content, data loss) takes its
@@ -1000,12 +965,8 @@ void Msu::AbortPull(ReplicaPullOp& pull, std::string reason) {
 bool Msu::PreemptCopyOnDisk(int disk_index) {
   for (auto& [op, pull] : replica_pulls_) {
     if (pull.disk == disk_index && pull.slot_held && !pull.aborted) {
-      if (trace_ != nullptr) {
-        trace_->Instant(node_->name(), "msu", "copy-preempt", "op " + std::to_string(op));
-      }
-      if (repl_preempts_metric_ != nullptr) {
-        repl_preempts_metric_->Add();
-      }
+      trace_.Instant(node_->name(), "msu", "copy-preempt", "op " + std::to_string(op));
+      repl_preempts_metric_.Add();
       AbortPull(pull, "preempted by live admission");
       return true;
     }
@@ -1017,13 +978,9 @@ bool Msu::PreemptCopyOnDisk(int disk_index) {
     // Killing the source serve (not just its slot): an unaccounted read
     // stream on a saturated disk is exactly what replication must never be.
     duty_cycle_.Release(it->second.disk, it->second.rate);
-    if (trace_ != nullptr) {
-      trace_->Instant(node_->name(), "msu", "copy-preempt",
-                      "op " + std::to_string(it->first) + " (source)");
-    }
-    if (repl_preempts_metric_ != nullptr) {
-      repl_preempts_metric_->Add();
-    }
+    trace_.Instant(node_->name(), "msu", "copy-preempt",
+                   "op " + std::to_string(it->first) + " (source)");
+    repl_preempts_metric_.Add();
     ReplicaCopyFailed note;
     note.op = it->first;
     note.msu_node = node_->name();
@@ -1131,12 +1088,8 @@ Task Msu::RunReplicaPull(int64_t op_id) {
       break;
     }
     it->second.bytes_copied += page_bytes;
-    if (repl_pages_metric_ != nullptr) {
-      repl_pages_metric_->Add();
-    }
-    if (repl_bytes_metric_ != nullptr) {
-      repl_bytes_metric_->Add(page_bytes.count());
-    }
+    repl_pages_metric_.Add();
+    repl_bytes_metric_.Add(page_bytes.count());
     // Pace to the background rate: the wire charge happened in the pull
     // response, this sleep keeps the long-run transfer at `rate` no matter
     // how fast the network is.
@@ -1178,13 +1131,9 @@ Task Msu::RunReplicaPull(int64_t op_id) {
   }
   if (installed) {
     FlushMetadataBehind();
-    if (trace_ != nullptr) {
-      trace_->Instant(node_->name(), "msu", "replica-install",
-                      done.content + " op " + std::to_string(done.op));
-    }
-    if (repl_installs_metric_ != nullptr) {
-      repl_installs_metric_->Add();
-    }
+    trace_.Instant(node_->name(), "msu", "replica-install",
+                   done.content + " op " + std::to_string(done.op));
+    repl_installs_metric_.Add();
     ReplicaInstalled note;
     note.op = done.op;
     note.msu_node = node_->name();
@@ -1197,9 +1146,7 @@ Task Msu::RunReplicaPull(int64_t op_id) {
     page_cache_.InvalidateFile(done.replica_file);
     (void)fs_.Delete(done.replica_file);
     FlushMetadataBehind();
-    if (repl_aborts_metric_ != nullptr) {
-      repl_aborts_metric_->Add();
-    }
+    repl_aborts_metric_.Add();
     CALLIOPE_LOG(kWarning, "msu") << node_->name() << ": replica copy " << done.op
                                   << " aborted: " << error;
     ReplicaCopyFailed note;
@@ -1218,7 +1165,7 @@ Task Msu::ProgressReporter() {
   // Periodically tells the Coordinator where each playback stream is in its
   // media, so failover can resume streams near the interruption point.
   for (;;) {
-    co_await sim().Delay(params_.progress_interval);
+    co_await sim().Delay(kProgressInterval);
     if (crashed_ || coordinator_conn_ == nullptr || coordinator_conn_->closed()) {
       continue;
     }
@@ -1246,10 +1193,7 @@ Task Msu::ProgressReporter() {
 
 void Msu::Crash() {
   crashed_ = true;
-  if (trace_ != nullptr) {
-    trace_->Instant(node_->name(), "msu", "crash",
-                    std::to_string(streams_.size()) + " streams cut");
-  }
+  trace_.Instant(node_->name(), "msu", "crash", std::to_string(streams_.size()) + " streams cut");
   // Streams die with the process; content on disk survives. Their duty-cycle
   // slots and delivery buffers come back too — the allocator tables outlive
   // the crash, and a restarted MSU serving zero streams must not inherit
@@ -1257,12 +1201,10 @@ void Msu::Crash() {
   for (auto& [id, stream] : streams_) {
     stream->StopInternal();
     ReleaseAdmission(*stream);
-    if (trace_ != nullptr) {
-      trace_->Span(node_->name(), "msu",
-                   (stream->mode() == MsuStream::Mode::kRecord ? "record:" : "play:") +
-                       stream->file_name(),
-                   stream->start_time(), "stream " + std::to_string(id) + " cut by crash");
-    }
+    trace_.Span(node_->name(), "msu",
+                (stream->mode() == MsuStream::Mode::kRecord ? "record:" : "play:") +
+                    stream->file_name(),
+                stream->start_time(), "stream " + std::to_string(id) + " cut by crash");
     stream->SetListed(false);
     finished_streams_[id] = std::move(stream);
   }
@@ -1337,9 +1279,7 @@ Task Msu::ReconnectLoop() {
 Co<Status> Msu::Restart(std::string coordinator_node) {
   node_->SetDown(false);
   crashed_ = false;
-  if (trace_ != nullptr) {
-    trace_->Instant(node_->name(), "msu", "restart");
-  }
+  trace_.Instant(node_->name(), "msu", "restart");
   // Crash recovery: recordings interrupted by the crash left uncommitted
   // files whose data is unusable. Reclaim their space before reporting
   // capacity to the Coordinator, so its ledger matches reality.

@@ -299,10 +299,6 @@ struct MsuParams {
   // Coordinator nodes to cycle through when redialing (warm-standby HA).
   // Empty: only the host passed to RegisterWithCoordinator is retried.
   std::vector<std::string> coordinator_hosts;
-  // How often the MSU batches playback media offsets to the Coordinator (one
-  // small message per MSU, so Coordinator CPU cost stays negligible). The
-  // Coordinator uses the offsets to resume streams elsewhere after a crash.
-  SimTime progress_interval = SimTime::Seconds(2);
   // Delivery-path fidelity policy. default_mode == kPacket keeps every stream
   // on the bit-exact per-packet model (the chaos/HA configuration);
   // kFlow enables the hybrid: eligible steady-state streams promote to the
@@ -313,14 +309,15 @@ struct MsuParams {
   // identical to the pre-sharing behavior. Also reported to the Coordinator
   // at registration so its ledger can admit cache-fed trailing viewers.
   Bytes cache_memory;
-  // Pages pinned per hot title when the Coordinator flags a start with
-  // pin_prefix (the popularity-EWMA prefix cache).
-  int64_t cache_prefix_pages = 4;
 };
 
 class Msu {
  public:
-  Msu(Machine& machine, NetNode& node, MsuParams params = MsuParams());
+  // Publishes per-MSU counters/gauges (and the cluster-global sim.flow.*,
+  // sim.cache.* and repl.* counters every MSU shares) into `metrics`, and
+  // stream/disk events into `trace`; both must outlive the MSU.
+  Msu(Machine& machine, NetNode& node, MetricsRegistry& metrics, TraceRecorder& trace,
+      MsuParams params = MsuParams());
 
   Msu(const Msu&) = delete;
   Msu& operator=(const Msu&) = delete;
@@ -368,10 +365,6 @@ class Msu {
   // Visits every stream this MSU has served, live then finished, in stream-id
   // order (for ClusterReport assembly).
   void ForEachStream(const std::function<void(const MsuStream&, bool finished)>& fn) const;
-
-  // Publishes per-MSU counters/gauges into `metrics` and stream/disk events
-  // into `trace`. Either may be null (standalone construction in unit tests).
-  void AttachObservability(MetricsRegistry* metrics, TraceRecorder* trace);
 
   // Windowed QoS sink for the continuous-telemetry sampler (null = no
   // sampler): every sent packet's lateness is recorded through it, from both
@@ -537,40 +530,38 @@ class Msu {
   std::map<int64_t, ReplicaPullOp> replica_pulls_;
   StreamId next_local_stream_id_ = 1000000;  // for locally-initiated streams
 
-  // Observability (null when not attached). Instrument pointers are cached
-  // once at attach time so the per-packet path is a branch plus an add.
-  MetricsRegistry* metrics_ = nullptr;
-  TraceRecorder* trace_ = nullptr;
-  QosAccumulator* qos_ = nullptr;
-  Counter* packets_sent_metric_ = nullptr;
-  Counter* packets_late_metric_ = nullptr;
-  Counter* buffer_stalls_metric_ = nullptr;
-  Counter* blocks_read_metric_ = nullptr;
-  Counter* blocks_written_metric_ = nullptr;
-  Counter* ibtree_reads_metric_ = nullptr;
-  Histogram* send_lateness_us_ = nullptr;
+  // Instruments, bound at construction so the per-packet path is one add.
+  TraceRecorder& trace_;
+  QosAccumulator* qos_ = nullptr;  // null unless a sampler runs
+  Counter& packets_sent_metric_;
+  Counter& packets_late_metric_;
+  Counter& buffer_stalls_metric_;
+  Counter& blocks_read_metric_;
+  Counter& blocks_written_metric_;
+  Counter& ibtree_reads_metric_;
+  Histogram& send_lateness_us_;
   // sim.flow.* counters are cluster-global (no per-MSU prefix): every MSU
-  // attached to the registry shares them, and chaos/HA suites assert
-  // sim.flow.chunks == 0 to prove the per-packet model ran pure.
-  Counter* flow_chunks_metric_ = nullptr;
-  Counter* flow_packets_metric_ = nullptr;
-  Counter* flow_demotions_metric_ = nullptr;
-  Counter* flow_promotions_metric_ = nullptr;
-  Counter* flow_refills_metric_ = nullptr;
+  // shares them, and chaos/HA suites assert sim.flow.chunks == 0 to prove
+  // the per-packet model ran pure.
+  Counter& flow_chunks_metric_;
+  Counter& flow_packets_metric_;
+  Counter& flow_demotions_metric_;
+  Counter& flow_promotions_metric_;
+  Counter& flow_refills_metric_;
   // sim.cache.* counters are cluster-global like sim.flow.*: the sharing
   // suites assert on the aggregate interval/prefix hit mix.
-  Counter* cache_interval_hits_metric_ = nullptr;
-  Counter* cache_prefix_hits_metric_ = nullptr;
-  Counter* cache_misses_metric_ = nullptr;
-  Counter* cache_insertions_metric_ = nullptr;
-  Counter* cache_evictions_metric_ = nullptr;
+  Counter& cache_interval_hits_metric_;
+  Counter& cache_prefix_hits_metric_;
+  Counter& cache_misses_metric_;
+  Counter& cache_insertions_metric_;
+  Counter& cache_evictions_metric_;
   // repl.* counters are cluster-global like sim.flow.*: the rebalance suites
   // assert on aggregate copy traffic across the whole fleet.
-  Counter* repl_pages_metric_ = nullptr;
-  Counter* repl_bytes_metric_ = nullptr;
-  Counter* repl_installs_metric_ = nullptr;
-  Counter* repl_aborts_metric_ = nullptr;
-  Counter* repl_preempts_metric_ = nullptr;
+  Counter& repl_pages_metric_;
+  Counter& repl_bytes_metric_;
+  Counter& repl_installs_metric_;
+  Counter& repl_aborts_metric_;
+  Counter& repl_preempts_metric_;
 };
 
 }  // namespace calliope

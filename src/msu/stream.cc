@@ -133,13 +133,9 @@ Co<bool> MsuStream::ServiceDisk() {
       }
       co_return false;
     }
-    if (msu_->blocks_read_metric_ != nullptr) {
-      msu_->blocks_read_metric_->Add();
-    }
-    if (msu_->trace_ != nullptr) {
-      msu_->trace_->Span(msu_->node().name() + ".disk" + std::to_string(disk_), "msu",
-                         "read-block", service_start, "stream " + std::to_string(id_));
-    }
+    msu_->blocks_read_metric_.Add();
+    msu_->trace_.Span(msu_->node().name() + ".disk" + std::to_string(disk_), "msu",
+                      "read-block", service_start, "stream " + std::to_string(id_));
     // A seek may have moved the cursor while the read was in flight; only
     // keep the page if it is still the one the stream wants next.
     if (state_ == State::kStopped || target != next_page_to_read_) {
@@ -161,13 +157,9 @@ Co<bool> MsuStream::ServiceDisk() {
   if (written.ok()) {
     ++pages_written_;
     bytes_moved_ += kDataPageSize;
-    if (msu_->blocks_written_metric_ != nullptr) {
-      msu_->blocks_written_metric_->Add();
-    }
-    if (msu_->trace_ != nullptr) {
-      msu_->trace_->Span(msu_->node().name() + ".disk" + std::to_string(disk_), "msu",
-                         "write-block", service_start, "stream " + std::to_string(id_));
-    }
+    msu_->blocks_written_metric_.Add();
+    msu_->trace_.Span(msu_->node().name() + ".disk" + std::to_string(disk_), "msu",
+                      "write-block", service_start, "stream " + std::to_string(id_));
   }
   record_pages_ready_.NotifyAll();
   co_return true;
@@ -212,9 +204,7 @@ Task MsuStream::PlaybackLoop() {
       }
       // Running with no prefetched page: the network process is starved
       // waiting on the disk (startup fill or a genuine double-buffer miss).
-      if (msu_->buffer_stalls_metric_ != nullptr) {
-        msu_->buffer_stalls_metric_->Add();
-      }
+      msu_->buffer_stalls_metric_.Add();
       msu_->disk_work_[static_cast<size_t>(disk_)]->NotifyAll();
       co_await buffers_changed_.Wait();
       continue;
@@ -366,14 +356,10 @@ Co<Status> MsuStream::SeekTo(SimTime media_offset) {
       co_return read.status();
     }
   }
-  if (msu_->ibtree_reads_metric_ != nullptr) {
-    msu_->ibtree_reads_metric_->Add(static_cast<int64_t>(target->internal_pages_read.size()));
-  }
-  if (msu_->trace_ != nullptr) {
-    msu_->trace_->Span(msu_->node().name(), "msu", "seek", seek_start,
-                       "stream " + std::to_string(id_) + " -> " +
-                           std::to_string(media_offset.millis()) + "ms");
-  }
+  msu_->ibtree_reads_metric_.Add(static_cast<int64_t>(target->internal_pages_read.size()));
+  msu_->trace_.Span(msu_->node().name(), "msu", "seek", seek_start,
+                    "stream " + std::to_string(id_) + " -> " +
+                        std::to_string(media_offset.millis()) + "ms");
   prefetched_.clear();
   play_page_ = target->page_index;
   play_record_ = target->record_index;
@@ -526,17 +512,15 @@ void MsuStream::StopInternal() {
 void MsuStream::AccountSentPacket(SimTime lateness) {
   lateness_.Record(lateness);
   ++packets_sent_;
-  if (packets_sent_ == 1 && msu_->trace_ != nullptr) {
-    msu_->trace_->Instant(msu_->node().name(), "msu", "first-packet",
-                          "stream " + std::to_string(id_));
+  if (packets_sent_ == 1) {
+    msu_->trace_.Instant(msu_->node().name(), "msu", "first-packet",
+                         "stream " + std::to_string(id_));
   }
-  if (msu_->packets_sent_metric_ != nullptr) {
-    msu_->packets_sent_metric_->Add();
-    if (lateness > SimTime()) {
-      msu_->packets_late_metric_->Add();
-    }
-    msu_->send_lateness_us_->Record(std::max<int64_t>(lateness.micros(), 0));
+  msu_->packets_sent_metric_.Add();
+  if (lateness > SimTime()) {
+    msu_->packets_late_metric_.Add();
   }
+  msu_->send_lateness_us_.Record(std::max<int64_t>(lateness.micros(), 0));
   if (msu_->qos_ != nullptr) {
     msu_->qos_->RecordLateness(lateness);
   }

@@ -63,9 +63,7 @@ void MsuStream::MaybePromote() {
     return;
   }
   SetFidelity(Fidelity::kFlow);
-  if (msu_->flow_promotions_metric_ != nullptr) {
-    msu_->flow_promotions_metric_->Add();
-  }
+  msu_->flow_promotions_metric_.Add();
 }
 
 void MsuStream::NoteInteresting() {
@@ -75,9 +73,7 @@ void MsuStream::NoteInteresting() {
   }
   SettleFlowPage();
   SetFidelity(Fidelity::kPacket);
-  if (msu_->flow_demotions_metric_ != nullptr) {
-    msu_->flow_demotions_metric_->Add();
-  }
+  msu_->flow_demotions_metric_.Add();
   // Wake the flow sleep (it re-checks fidelity_) and put the stream back on
   // the round-robin disk process, which now owns its prefetching again.
   buffers_changed_.NotifyAll();
@@ -132,10 +128,8 @@ void MsuStream::SettleFlowPage() {
   Bytes total;
   auto payload = BuildFlowChunk(play_record_, limit, &total);
   play_record_ = limit;
-  if (msu_->flow_chunks_metric_ != nullptr) {
-    msu_->flow_chunks_metric_->Add();
-    msu_->flow_packets_metric_->Add(count);
-  }
+  msu_->flow_chunks_metric_.Add();
+  msu_->flow_packets_metric_.Add(count);
   // Fire-and-forget: the records' delivery instants have already passed and
   // the caller (a VCR handler, the fault observer, StopInternal) must not
   // block on the chunk clearing the NIC. Members still waiting for an
@@ -238,16 +232,10 @@ Co<void> MsuStream::FlowStep() {
       prefetched_.push_back((*pages)[i]);
     }
     bytes_moved_ += kDataPageSize * static_cast<int64_t>(want);
-    if (msu_->blocks_read_metric_ != nullptr) {
-      msu_->blocks_read_metric_->Add(static_cast<int64_t>(want));
-    }
-    if (msu_->flow_refills_metric_ != nullptr) {
-      msu_->flow_refills_metric_->Add();
-    }
-    if (msu_->trace_ != nullptr) {
-      msu_->trace_->Span(msu_->node().name() + ".disk" + std::to_string(disk_), "msu",
-                         "read-blocks", service_start, "stream " + std::to_string(id_));
-    }
+    msu_->blocks_read_metric_.Add(static_cast<int64_t>(want));
+    msu_->flow_refills_metric_.Add();
+    msu_->trace_.Span(msu_->node().name() + ".disk" + std::to_string(disk_), "msu",
+                      "read-blocks", service_start, "stream " + std::to_string(id_));
     co_return;  // loop re-enters with full buffers
   }
 
@@ -312,10 +300,8 @@ Co<void> MsuStream::FlowStep() {
     Bytes total;
     auto payload = BuildFlowChunk(first_record, limit, &total);
     play_record_ = limit;
-    if (msu_->flow_chunks_metric_ != nullptr) {
-      msu_->flow_chunks_metric_->Add();
-      msu_->flow_packets_metric_->Add(count);
-    }
+    msu_->flow_chunks_metric_.Add();
+    msu_->flow_packets_metric_.Add(count);
     // Fan the chunk out per member in its own stream-id/sequence space.
     // Accounting commits before each send. The chunk is already counted for
     // every member, so only a stop ends the fan-out early; any other

@@ -103,12 +103,12 @@ Co<Result<Envelope>> TcpConn::Call(MessageArg body, SimTime timeout) {
 }
 
 void TcpConn::TraceRpc(const char* name, SimTime start, const char* outcome) {
-  TraceRecorder* tracer = network_->trace();
-  if (tracer == nullptr || !tracer->enabled()) {
+  TraceRecorder& tracer = network_->trace();
+  if (!tracer.enabled()) {
     return;
   }
-  tracer->Span("net", "net", std::string("rpc:") + name, start,
-               local_node_ + "->" + peer_node_ + " " + outcome);
+  tracer.Span("net", "net", std::string("rpc:") + name, start,
+              local_node_ + "->" + peer_node_ + " " + outcome);
 }
 
 void TcpConn::Close() {
@@ -187,8 +187,8 @@ void TcpConn::MarkDead(State state) {
     return;
   }
   state_ = state;
-  if (state == State::kBroken && network_->trace() != nullptr) {
-    network_->trace()->Instant("net", "net", "conn-broken", local_node_ + "->" + peer_node_);
+  if (state == State::kBroken) {
+    network_->trace().Instant("net", "net", "conn-broken", local_node_ + "->" + peer_node_);
   }
   for (auto& [id, pending] : pending_calls_) {
     pending->failed = true;
@@ -321,25 +321,17 @@ void NetNode::HandleReceivedDatagram(const Datagram& datagram) {
 
 // ---------------------------------------------------------------- Network
 
-Network::Network(Simulator& sim, NetworkParams params)
-    : sim_(&sim), params_(params), fault_rng_(params.fault_seed) {}
-
-void Network::AttachObservability(MetricsRegistry* metrics, TraceRecorder* trace) {
-  metrics_ = metrics;
-  trace_ = trace;
-  if (metrics_ == nullptr) {
-    datagrams_sent_ = nullptr;
-    return;
-  }
-  datagrams_sent_ = &metrics_->counter("net.datagrams.sent");
+Network::Network(Simulator& sim, MetricsRegistry& metrics, TraceRecorder& trace,
+                 NetworkParams params)
+    : sim_(&sim), params_(params), fault_rng_(params.fault_seed), trace_(trace) {
   // All monotonic tallies: pull-mode counters, so the sampler's per-window
-  // deltas turn them into byte/drop rates.
-  metrics_->SetCounterCallback("net.bytes.intra", [this] { return intra_bytes_.count(); });
-  metrics_->SetCounterCallback("net.bytes.delivery",
-                               [this] { return delivery_bytes_.count(); });
-  metrics_->SetCounterCallback("net.udp.dropped", [this] { return udp_dropped_; });
-  metrics_->SetCounterCallback("net.fault.dropped", [this] { return fault_dropped_; });
-  metrics_->SetCounterCallback("net.fault.delayed", [this] { return fault_delayed_; });
+  // deltas turn them into packet/byte/drop rates.
+  metrics.SetCounterCallback("net.datagrams.sent", [this] { return datagrams_sent_; });
+  metrics.SetCounterCallback("net.bytes.intra", [this] { return intra_bytes_.count(); });
+  metrics.SetCounterCallback("net.bytes.delivery", [this] { return delivery_bytes_.count(); });
+  metrics.SetCounterCallback("net.udp.dropped", [this] { return udp_dropped_; });
+  metrics.SetCounterCallback("net.fault.dropped", [this] { return fault_dropped_; });
+  metrics.SetCounterCallback("net.fault.delayed", [this] { return fault_delayed_; });
 }
 
 NetNode* Network::AddNode(const std::string& name, Machine* machine, bool on_intra) {
@@ -429,9 +421,7 @@ Co<bool> Network::Transmit(Datagram datagram, bool blocking) {
   } else {
     delivery_bytes_ += wire_size;
   }
-  if (datagrams_sent_ != nullptr) {
-    datagrams_sent_->Add(datagram.flow_packets);
-  }
+  datagrams_sent_ += datagram.flow_packets;
   Frame frame;
   frame.size = wire_size;
   frame.packet_count = datagram.flow_packets;

@@ -230,7 +230,10 @@ class Network {
   // Consulted once per datagram as it leaves the source NIC; may be empty.
   using LinkFaultHook = std::function<LinkFault(const Datagram&)>;
 
-  Network(Simulator& sim, NetworkParams params = NetworkParams());
+  // Publishes fabric counters into `metrics` and RPC/connection events into
+  // `trace`; both must outlive the network.
+  Network(Simulator& sim, MetricsRegistry& metrics, TraceRecorder& trace,
+          NetworkParams params = NetworkParams());
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -261,10 +264,7 @@ class Network {
   int64_t fault_dropped() const { return fault_dropped_; }
   int64_t fault_delayed() const { return fault_delayed_; }
 
-  // Publishes fabric counters into `metrics` and RPC/connection events into
-  // `trace`. Either may be null (standalone construction in unit tests).
-  void AttachObservability(MetricsRegistry* metrics, TraceRecorder* trace);
-  TraceRecorder* trace() { return trace_; }
+  TraceRecorder& trace() { return trace_; }
 
  private:
   friend class NetNode;
@@ -298,9 +298,8 @@ class Network {
   LinkFaultHook fault_hook_;
   int64_t fault_dropped_ = 0;
   int64_t fault_delayed_ = 0;
-  MetricsRegistry* metrics_ = nullptr;
-  TraceRecorder* trace_ = nullptr;
-  Counter* datagrams_sent_ = nullptr;  // cached; non-null iff metrics_ attached
+  TraceRecorder& trace_;
+  int64_t datagrams_sent_ = 0;  // flow bursts count as the packets they carry
   DataRate intra_rate_ = DataRate::MegabitsPerSec(10);
   DataRate delivery_rate_ = DataRate::MegabitsPerSec(100);
 };

@@ -35,13 +35,20 @@ void AppendSample(std::map<std::string, std::vector<T>>& series, const std::stri
 
 }  // namespace
 
-MetricsSampler::MetricsSampler(Simulator& sim, MetricsRegistry& metrics, TraceRecorder* trace,
+MetricsSampler::MetricsSampler(Simulator& sim, MetricsRegistry& metrics, TraceRecorder& trace,
                                SamplerConfig config, std::vector<SloSpec> slos)
-    : sim_(&sim), metrics_(&metrics), trace_(trace), config_(std::move(config)),
-      slos_(std::move(slos)) {
+    : sim_(&sim), metrics_(metrics), trace_(trace), config_(std::move(config)),
+      slos_(std::move(slos)), ticks_metric_(metrics.counter("obs.sampler.ticks")) {
   std::sort(slos_.begin(), slos_.end(),
             [](const SloSpec& a, const SloSpec& b) { return a.name < b.name; });
   states_.resize(slos_.size());
+  for (size_t i = 0; i < slos_.size(); ++i) {
+    states_[i].report.name = slos_[i].name;
+    states_[i].report.threshold = slos_[i].threshold;
+    states_[i].report.min_breach_windows = slos_[i].min_breach_windows;
+    metrics.SetCounterCallback("slo." + slos_[i].name + ".breach_windows",
+                               [this, i] { return states_[i].report.breach_windows; });
+  }
 }
 
 MetricsSampler::~MetricsSampler() { tick_token_.Cancel(); }
@@ -50,22 +57,14 @@ void MetricsSampler::Start() {
   if (config_.period <= SimTime()) {
     return;
   }
-  ticks_metric_ = &metrics_->counter("obs.sampler.ticks");
-  for (size_t i = 0; i < slos_.size(); ++i) {
-    states_[i].report.name = slos_[i].name;
-    states_[i].report.threshold = slos_[i].threshold;
-    states_[i].report.min_breach_windows = slos_[i].min_breach_windows;
-    states_[i].breach_windows_metric =
-        &metrics_->counter("slo." + slos_[i].name + ".breach_windows");
-  }
   tick_token_ = sim_->ScheduleCancelableAt(sim_->Now() + config_.period, [this] { Tick(); });
 }
 
 void MetricsSampler::Tick() {
   // Bump before the snapshot so obs.sampler.ticks counts this window in its
   // own delta series (exactly one per window).
-  ticks_metric_->Add();
-  const MetricsSnapshot snapshot = metrics_->Snapshot();
+  ticks_metric_.Add();
+  const MetricsSnapshot snapshot = metrics_.Snapshot();
   const int64_t windows_before = windows_;
 
   QosWindowRow row;
@@ -149,9 +148,9 @@ void MetricsSampler::EvaluateSlo(const SloSpec& spec, SloState& state, const Qos
   state.values.push_back(value);
   ++state.report.windows_evaluated;
   if (value <= spec.threshold) {
-    if (state.breaching && trace_ != nullptr) {
-      trace_->Instant("slo", "slo", "slo-clear:" + spec.name,
-                      "after " + std::to_string(state.run) + " breach windows");
+    if (state.breaching) {
+      trace_.Instant("slo", "slo", "slo-clear:" + spec.name,
+                     "after " + std::to_string(state.run) + " breach windows");
     }
     state.run = 0;
     state.breaching = false;
@@ -171,18 +170,14 @@ void MetricsSampler::EvaluateSlo(const SloSpec& spec, SloState& state, const Qos
     state.breaching = true;
     ++state.report.breach_episodes;
     state.report.breach_windows += state.run;
-    state.breach_windows_metric->Add(state.run);
     if (state.report.first_breach_us == 0) {
       state.report.first_breach_us = state.run_first_us;
     }
-    if (trace_ != nullptr) {
-      trace_->Instant("slo", "slo", "slo-breach:" + spec.name,
-                      "value " + std::to_string(value) + " > threshold " +
-                          std::to_string(spec.threshold));
-    }
+    trace_.Instant("slo", "slo", "slo-breach:" + spec.name,
+                   "value " + std::to_string(value) + " > threshold " +
+                       std::to_string(spec.threshold));
   } else if (state.breaching) {
     ++state.report.breach_windows;
-    state.breach_windows_metric->Add();
   }
   if (state.breaching) {
     state.report.last_breach_us = row.end_us;

@@ -103,18 +103,18 @@ class QosAccumulator {
 
 class MetricsSampler {
  public:
-  // `trace` may be null. SloSpecs are evaluated in name order (sorted here)
-  // so the report's slos section is deterministic regardless of config order.
-  MetricsSampler(Simulator& sim, MetricsRegistry& metrics, TraceRecorder* trace,
+  // SloSpecs are evaluated in name order (sorted here) so the report's slos
+  // section is deterministic regardless of config order. Publishes the
+  // sampler's own instruments (obs.sampler.ticks, slo.<name>.breach_windows)
+  // here, so they appear as zeros in snapshots taken before the first tick.
+  MetricsSampler(Simulator& sim, MetricsRegistry& metrics, TraceRecorder& trace,
                  SamplerConfig config, std::vector<SloSpec> slos);
   ~MetricsSampler();
 
   MetricsSampler(const MetricsSampler&) = delete;
   MetricsSampler& operator=(const MetricsSampler&) = delete;
 
-  // Schedules the first tick one period from now. Publishes the sampler's own
-  // instruments (obs.sampler.ticks, slo.<name>.breach_windows) eagerly so
-  // they appear as zeros in snapshots taken before the first tick.
+  // Schedules the first tick one period from now.
   void Start();
 
   QosAccumulator* qos() { return &qos_; }
@@ -176,8 +176,7 @@ class MetricsSampler {
     int64_t run_worst_value = 0;
     int64_t run_worst_window = -1;
     bool breaching = false;       // run >= min_breach_windows
-    SloBreachReport report;
-    Counter* breach_windows_metric = nullptr;
+    SloBreachReport report;  // report.breach_windows is published by pull
   };
 
   void Tick();
@@ -187,13 +186,13 @@ class MetricsSampler {
                    int64_t value);
 
   Simulator* sim_;
-  MetricsRegistry* metrics_;
-  TraceRecorder* trace_;
+  MetricsRegistry& metrics_;
+  TraceRecorder& trace_;
   SamplerConfig config_;
   std::vector<SloSpec> slos_;      // sorted by name
   std::vector<SloState> states_;   // parallel to slos_
   QosAccumulator qos_;
-  Counter* ticks_metric_ = nullptr;
+  Counter& ticks_metric_;
   EventToken tick_token_;
   int64_t windows_ = 0;
   MetricsSnapshot previous_;  // last tick's snapshot, for deltas

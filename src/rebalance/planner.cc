@@ -7,6 +7,9 @@ namespace calliope {
 
 namespace {
 
+// Popularity score at or below which surplus dynamic replicas are demoted.
+constexpr double kColdThreshold = 0.25;
+
 const MsuView* FindMsu(const RebalanceSnapshot& snapshot, const std::string& node) {
   for (const MsuView& msu : snapshot.msus) {
     if (msu.node == node) {
@@ -101,19 +104,15 @@ TargetChoice PickTarget(const RebalanceSnapshot& snapshot, const TitleView& titl
 
 }  // namespace
 
-int DesiredReplicas(const TitleView& title, const RebalanceConfig& config, int up_msus) {
-  int want = 1;
-  if (config.hot_threshold > 0.0) {
-    want += static_cast<int>(title.popularity / config.hot_threshold);
-  }
+int DesiredReplicas(const TitleView& title, int up_msus) {
+  int want = 1 + static_cast<int>(title.popularity / kHotThreshold);
   // Queue pressure is the strongest signal: viewers are waiting on this
   // title right now, so it wants at least one more copy than it has.
   if (title.pending > 0) {
     const int have = static_cast<int>(title.replicas.size() + title.inflight_targets.size());
     want = std::max(want, have + 1);
   }
-  int cap = config.max_replicas > 0 ? std::min(config.max_replicas, up_msus) : up_msus;
-  return std::max(1, std::min(want, cap));
+  return std::max(1, std::min(want, up_msus));
 }
 
 RebalancePlan PlanRebalance(const RebalanceSnapshot& snapshot, const RebalanceConfig& config,
@@ -149,7 +148,7 @@ RebalancePlan PlanRebalance(const RebalanceSnapshot& snapshot, const RebalanceCo
     }
     const int have =
         static_cast<int>(title->replicas.size() + title->inflight_targets.size());
-    int want = DesiredReplicas(*title, config, up_msus);
+    int want = DesiredReplicas(*title, up_msus);
     if (want <= have) {
       continue;
     }
@@ -187,11 +186,11 @@ RebalancePlan PlanRebalance(const RebalanceSnapshot& snapshot, const RebalanceCo
   // Demotions: cold titles shed their idle dynamic replicas, one per title
   // per tick, never the last copy and never while a copy is in flight.
   for (const TitleView& title : snapshot.titles) {
-    if (title.popularity > config.cold_threshold || title.pending > 0 ||
+    if (title.popularity > kColdThreshold || title.pending > 0 ||
         !title.inflight_targets.empty()) {
       continue;
     }
-    const int keep = DesiredReplicas(title, config, up_msus);
+    const int keep = DesiredReplicas(title, up_msus);
     if (static_cast<int>(title.replicas.size()) <= std::max(1, keep)) {
       continue;
     }

@@ -20,29 +20,23 @@
 
 namespace calliope {
 
+// Popularity EWMA score at which a title counts as hot: sharing pins its
+// prefix pages in the serving MSU's page cache, and rebalancing gives it one
+// extra replica per multiple.
+inline constexpr double kHotThreshold = 3.0;
+
 // NOTE: these structs declare constructors so they are not aggregates; GCC 12
 // miscompiles aggregate init/copies inside coroutine bodies (see src/sim/co.h).
 struct RebalanceConfig {
   RebalanceConfig() = default;
 
   bool enabled = false;
-  // Planner cadence.
-  SimTime interval = SimTime::Seconds(2);
   // Per-copy transfer rate. Defaults to the MPEG-1 stream rate so a copy
   // occupies exactly one duty-cycle slot anywhere a viewer would fit — that
   // is what lets a copy squeeze onto a saturated source disk (the duty cycle
   // keeps a few slots above the Coordinator's admission budget) without ever
   // inducing lateness on live streams.
   DataRate copy_rate = DataRate::MegabitsPerSec(1.5);
-  // Popularity EWMA score that earns a title one extra replica per multiple
-  // (mirrors SharingConfig::hot_threshold).
-  double hot_threshold = 3.0;
-  // Score at or below which surplus dynamic replicas are demoted.
-  double cold_threshold = 0.25;
-  // Cluster-wide cap on simultaneously running copies.
-  int max_concurrent_copies = 2;
-  // Cap on copies of one title (0: up to the number of MSUs).
-  int max_replicas = 0;
 };
 
 // One installed copy of a title.
@@ -127,7 +121,7 @@ struct RebalancePlan {
 };
 
 // Replicas a title wants given its popularity score and queue pressure.
-int DesiredReplicas(const TitleView& title, const RebalanceConfig& config, int up_msus);
+int DesiredReplicas(const TitleView& title, int up_msus);
 
 // Decides this tick's copies (bounded by `copy_slots`, the cluster-wide
 // concurrency budget minus ops already in flight) and demotions. Pure and

@@ -390,7 +390,8 @@ void RunSharingTakeover(SharingKill kill) {
     ASSERT_TRUE(trailer.ok()) << trailer.status().ToString();
     ports.push_back("tv2");
     groups.push_back(trailer->group);
-    EXPECT_EQ(cluster.installation().metrics().counter("coord.groups.attaches").value(), 1);
+    EXPECT_EQ(cluster.installation().metrics().Snapshot().counters.at("coord.groups.attaches"),
+              1);
   }
   CoResult<Status> paused;
   if (kill == SharingKill::kMidSplitReadmission) {
@@ -427,9 +428,11 @@ void RunSharingTakeover(SharingKill kill) {
   if (kill == SharingKill::kSplitDuringTakeover) {
     // The new primary learns of the split once the MSU redials, and
     // re-admits the member as a paused solo stream.
-    Counter& splits = cluster.installation().metrics().counter("coord2.groups.splits");
-    EXPECT_TRUE(
-        RunUntil(cluster.sim(), [&] { return splits.value() == 1; }, SimTime::Seconds(10)));
+    MetricsRegistry& metrics = cluster.installation().metrics();
+    EXPECT_TRUE(RunUntil(
+        cluster.sim(),
+        [&] { return metrics.Snapshot().counters.at("coord2.groups.splits") == 1; },
+        SimTime::Seconds(10)));
     EXPECT_TRUE(VcrOp(cluster.sim(), **client, groups[0], VcrCommand::Op::kPlay).ok());
   }
   if (kill == SharingKill::kMidSplitReadmission) {
@@ -468,15 +471,15 @@ void RunSharingTakeover(SharingKill kill) {
   EXPECT_EQ(standby->requests_lost(), 0);
   // The batch the old primary left open forms its group on the new one; the
   // waiters of a launch it never finished re-queue and start solo.
-  MetricsRegistry& metrics = cluster.installation().metrics();
+  const MetricsSnapshot metrics = cluster.installation().metrics().Snapshot();
   if (kill == SharingKill::kMidSharedLaunch) {
-    EXPECT_EQ(metrics.counter("coord.groups.formed").value(), 0);
-    EXPECT_EQ(metrics.counter("coord2.groups.formed").value(), 0);
+    EXPECT_EQ(metrics.counters.at("coord.groups.formed"), 0);
+    EXPECT_EQ(metrics.counters.at("coord2.groups.formed"), 0);
   } else {
     const std::string formed_by = kill == SharingKill::kInsideBatchWindow
                                       ? "coord2.groups.formed"
                                       : "coord.groups.formed";
-    EXPECT_EQ(metrics.counter(formed_by).value(), 1);
+    EXPECT_EQ(metrics.counters.at(formed_by), 1);
   }
   for (GroupId group : groups) {
     EXPECT_EQ((*client)->GroupFailure(group), "") << "group " << group;

@@ -145,7 +145,7 @@ TEST(LoadTest, QueuedRequestExpiresAfterDeadlineWithExplicitNotice) {
   cluster.sim().RunFor(SimTime::Seconds(6));
   EXPECT_EQ(cluster.coordinator().pending_request_count(), 0u);
   EXPECT_EQ(cluster.coordinator().requests_expired(), 1);
-  EXPECT_EQ(cluster.installation().metrics().counter("coord.requests.expired").value(), 1);
+  EXPECT_EQ(cluster.installation().metrics().Snapshot().counters.at("coord.requests.expired"), 1);
   // The client was told explicitly — no silent starvation.
   EXPECT_TRUE((*client)->GroupTerminated(second->group));
   EXPECT_NE((*client)->GroupFailure(second->group).find("deadline"), std::string::npos)
@@ -273,7 +273,7 @@ TEST(LoadTest, FullClassQueueRejectsNewestExplicitly) {
   EXPECT_FALSE(overflow.value->ok());
   EXPECT_EQ(cluster.coordinator().pending_count_for(AdmissionClass::kBulk), 1u);
   EXPECT_GE(
-      cluster.installation().metrics().counter("coord.admission.bulk.shed").value(), 1);
+      cluster.installation().metrics().Snapshot().counters.at("coord.admission.bulk.shed"), 1);
 }
 
 // ---- chaos composition: workload generator x random faults ------------------
@@ -418,13 +418,13 @@ SaturationResult RunSaturation(uint64_t seed, bool shedding) {
       !RunUntil(cluster.sim(), [&] { return driver.done(); }, SimTime::Seconds(120));
   EXPECT_TRUE(cluster.WaitForIdle(SimTime::Seconds(120)));
 
-  MetricsRegistry& metrics = cluster.installation().metrics();
   if (shedding) {
-    result.interactive_shed = metrics.counter("coord.admission.interactive.shed").value();
-    result.standard_shed = metrics.counter("coord.admission.standard.shed").value();
-    result.bulk_shed = metrics.counter("coord.admission.bulk.shed").value();
-    result.shed_rejected = metrics.counter("coord.shed.rejected").value();
-    result.shed_episodes = metrics.counter("coord.shed.episodes").value();
+    const MetricsSnapshot metrics = cluster.installation().metrics().Snapshot();
+    result.interactive_shed = metrics.counters.at("coord.admission.interactive.shed");
+    result.standard_shed = metrics.counters.at("coord.admission.standard.shed");
+    result.bulk_shed = metrics.counters.at("coord.admission.bulk.shed");
+    result.shed_rejected = metrics.counters.at("coord.shed.rejected");
+    result.shed_episodes = metrics.counters.at("coord.shed.episodes");
   }
   const ClusterReport report = cluster.installation().BuildClusterReport();
   result.report = report.ToJson();

@@ -14,7 +14,9 @@ namespace {
 // Harness: one MSU with its node on a network, driven locally.
 struct MsuFixture {
   Simulator sim;
-  Network network{sim};
+  MetricsRegistry metrics;
+  TraceRecorder trace{sim};
+  Network network{sim, metrics, trace};
   std::unique_ptr<Machine> machine;
   std::unique_ptr<Machine> client_machine;
   NetNode* msu_node;
@@ -27,7 +29,7 @@ struct MsuFixture {
     msu_node = network.AddNode("msu0", machine.get(), /*on_intra=*/true);
     client_machine = std::make_unique<Machine>(sim, DisklessHost(), "client");
     client_node = network.AddNode("client", client_machine.get(), /*on_intra=*/false);
-    msu = std::make_unique<Msu>(*machine, *msu_node, params);
+    msu = std::make_unique<Msu>(*machine, *msu_node, metrics, trace, params);
   }
 
   // Installs a movie and returns its record count.

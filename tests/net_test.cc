@@ -10,7 +10,9 @@ namespace {
 
 struct TwoNodes {
   Simulator sim;
-  Network network{sim};
+  MetricsRegistry metrics;
+  TraceRecorder trace{sim};
+  Network network{sim, metrics, trace};
   Machine machine_a;
   Machine machine_b;
   NetNode* a;

@@ -30,7 +30,7 @@ uint64_t RebalanceSeed() {
 }
 
 int64_t CounterValue(TestCluster& cluster, const std::string& name) {
-  return cluster.installation().metrics().counter(name).value();
+  return cluster.installation().metrics().Snapshot().counters.at(name);
 }
 
 // ---- planner unit tests -----------------------------------------------------

@@ -41,7 +41,7 @@ InstallationConfig SharingConfigFor(int msu_count, int buffer_count = MsuParams(
 }
 
 int64_t CounterValue(TestCluster& cluster, const std::string& name) {
-  return cluster.installation().metrics().counter(name).value();
+  return cluster.installation().metrics().Snapshot().counters.at(name);
 }
 
 // Two viewers asking for one title within the batch window ride a single

@@ -33,9 +33,10 @@ void RunWindows(Simulator& sim, MetricsSampler& sampler, int64_t target) {
 TEST(MetricsSamplerTest, CountersDeltaGaugesSampleHistogramsRow) {
   Simulator sim;
   MetricsRegistry metrics;
+  TraceRecorder trace(sim);
   SamplerConfig config;
   config.period = SimTime::Millis(100);
-  MetricsSampler sampler(sim, metrics, nullptr, config, {});
+  MetricsSampler sampler(sim, metrics, trace, config, {});
   sampler.Start();
 
   Counter& requests = metrics.counter("test.requests");
@@ -75,9 +76,10 @@ TEST(MetricsSamplerTest, CountersDeltaGaugesSampleHistogramsRow) {
 TEST(MetricsSamplerTest, MidRunInstrumentsAreZeroBackfilled) {
   Simulator sim;
   MetricsRegistry metrics;
+  TraceRecorder trace(sim);
   SamplerConfig config;
   config.period = SimTime::Millis(100);
-  MetricsSampler sampler(sim, metrics, nullptr, config, {});
+  MetricsSampler sampler(sim, metrics, trace, config, {});
   sampler.Start();
 
   RunWindows(sim, sampler, 3);
@@ -95,10 +97,11 @@ TEST(MetricsSamplerTest, MidRunInstrumentsAreZeroBackfilled) {
 TEST(MetricsSamplerTest, MaxWindowsStopsRescheduling) {
   Simulator sim;
   MetricsRegistry metrics;
+  TraceRecorder trace(sim);
   SamplerConfig config;
   config.period = SimTime::Millis(100);
   config.max_windows = 3;
-  MetricsSampler sampler(sim, metrics, nullptr, config, {});
+  MetricsSampler sampler(sim, metrics, trace, config, {});
   sampler.Start();
   sim.Run();  // drains: the cap keeps the queue from self-sustaining forever
   EXPECT_EQ(sampler.windows(), 3);
@@ -107,6 +110,7 @@ TEST(MetricsSamplerTest, MaxWindowsStopsRescheduling) {
 TEST(MetricsSamplerTest, MinBreachWindowsGatesEpisodes) {
   Simulator sim;
   MetricsRegistry metrics;
+  TraceRecorder trace(sim);
   SamplerConfig config;
   config.period = SimTime::Millis(100);
   SloSpec spec;
@@ -115,7 +119,7 @@ TEST(MetricsSamplerTest, MinBreachWindowsGatesEpisodes) {
   spec.metric = "test.depth";
   spec.threshold = 10;
   spec.min_breach_windows = 2;
-  MetricsSampler sampler(sim, metrics, nullptr, config, {spec});
+  MetricsSampler sampler(sim, metrics, trace, config, {spec});
   sampler.Start();
   Gauge& depth = metrics.gauge("test.depth");
 
@@ -141,7 +145,7 @@ TEST(MetricsSamplerTest, MinBreachWindowsGatesEpisodes) {
   EXPECT_EQ(slo.worst_value, 30);
   EXPECT_EQ(slo.breached_us, 2 * SimTime::Millis(100).micros());
   // The breach also lands in the registry for end-of-run snapshots.
-  EXPECT_EQ(metrics.counter("slo.depth.breach_windows").value(), 2);
+  EXPECT_EQ(metrics.Snapshot().counters.at("slo.depth.breach_windows"), 2);
 }
 
 TEST(MetricsSamplerTest, BreachEmitsTraceInstants) {
@@ -156,7 +160,7 @@ TEST(MetricsSamplerTest, BreachEmitsTraceInstants) {
   spec.signal = SloSpec::Signal::kGaugeValue;
   spec.metric = "test.depth";
   spec.threshold = 10;
-  MetricsSampler sampler(sim, metrics, &trace, config, {spec});
+  MetricsSampler sampler(sim, metrics, trace, config, {spec});
   sampler.Start();
   Gauge& depth = metrics.gauge("test.depth");
 
@@ -174,6 +178,7 @@ TEST(MetricsSamplerTest, BreachEmitsTraceInstants) {
 TEST(MetricsSamplerTest, WriteCsvOneRowPerWindow) {
   Simulator sim;
   MetricsRegistry metrics;
+  TraceRecorder trace(sim);
   SamplerConfig config;
   config.period = SimTime::Millis(100);
   SloSpec spec;
@@ -181,7 +186,7 @@ TEST(MetricsSamplerTest, WriteCsvOneRowPerWindow) {
   spec.signal = SloSpec::Signal::kGaugeValue;
   spec.metric = "test.depth";
   spec.threshold = 10;
-  MetricsSampler sampler(sim, metrics, nullptr, config, {spec});
+  MetricsSampler sampler(sim, metrics, trace, config, {spec});
   sampler.Start();
   RunWindows(sim, sampler, 3);
 
