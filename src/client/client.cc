@@ -284,7 +284,6 @@ void CalliopeClient::OnMediaDatagram(ClientDisplayPort& port, const Datagram& da
     OnFlowChunk(port, *payload);
     return;
   }
-  const SimTime lateness = sim().Now() - payload->deadline;
   auto [seq_it, first_from_stream] = port.last_seq_.try_emplace(payload->stream, -1);
   if (!first_from_stream && payload->seq <= seq_it->second) {
     ++port.out_of_order_;
@@ -292,34 +291,11 @@ void CalliopeClient::OnMediaDatagram(ClientDisplayPort& port, const Datagram& da
   seq_it->second = std::max(seq_it->second, payload->seq);
   if (payload->is_control) {
     ++port.control_packets_received_;
-  } else {
-    if (port.first_arrival_ == SimTime()) {
-      port.first_arrival_ = sim().Now();
-    }
-    if (port.last_arrival_ != SimTime()) {
-      const SimTime gap = sim().Now() - port.last_arrival_;
-      port.max_arrival_gap_ = std::max(port.max_arrival_gap_, gap);
-      if (qos_ != nullptr) {
-        qos_->RecordGap(gap);
-      }
-    }
-    port.last_arrival_ = sim().Now();
-    ++port.packets_received_;
-    port.arrival_lateness_.Record(lateness);
-    if (lateness > port.buffer_allowance_) {
-      ++port.glitches_;
-    }
-    if (port.playout_.has_value()) {
-      // A backwards jump in media time is a seek/rewind: new playout epoch.
-      if (payload->packet.delivery_offset + SimTime::Seconds(1) < port.last_media_offset_) {
-        port.playout_->Reset();
-      }
-      port.last_media_offset_ = payload->packet.delivery_offset;
-      port.playout_->OnArrival(sim().Now(), payload->packet.delivery_offset,
-                               payload->packet.size);
-    }
+    port.bytes_received_ += payload->packet.size;
+    return;
   }
-  port.bytes_received_ += payload->packet.size;
+  RecordArrival(port, sim().Now(), payload->deadline, payload->packet.delivery_offset,
+                payload->packet.size);
 }
 
 void CalliopeClient::OnFlowChunk(ClientDisplayPort& port, const MediaDatagramPayload& payload) {
@@ -334,39 +310,45 @@ void CalliopeClient::OnFlowChunk(ClientDisplayPort& port, const MediaDatagramPay
   CoarseTimer& timer = node_->machine().timer();
   int64_t seq = payload.seq;
   for (const auto& record : payload.flow_records) {
-    const SimTime arrival = timer.NextTickAtOrAfter(record.deadline) + transit;
-    const SimTime lateness = arrival - record.deadline;
     if (!first_from_stream && seq <= seq_it->second) {
       ++port.out_of_order_;
     }
     first_from_stream = false;
     seq_it->second = std::max(seq_it->second, seq);
     ++seq;
-    if (port.first_arrival_ == SimTime()) {
-      port.first_arrival_ = arrival;
-    }
-    if (port.last_arrival_ != SimTime()) {
-      const SimTime gap = arrival - port.last_arrival_;
-      port.max_arrival_gap_ = std::max(port.max_arrival_gap_, gap);
-      if (qos_ != nullptr) {
-        qos_->RecordGap(gap);
-      }
-    }
-    port.last_arrival_ = arrival;
-    ++port.packets_received_;
-    port.arrival_lateness_.Record(lateness);
-    if (lateness > port.buffer_allowance_) {
-      ++port.glitches_;
-    }
-    if (port.playout_.has_value()) {
-      if (record.delivery_offset + SimTime::Seconds(1) < port.last_media_offset_) {
-        port.playout_->Reset();
-      }
-      port.last_media_offset_ = record.delivery_offset;
-      port.playout_->OnArrival(arrival, record.delivery_offset, record.size);
-    }
-    port.bytes_received_ += record.size;
+    RecordArrival(port, timer.NextTickAtOrAfter(record.deadline) + transit, record.deadline,
+                  record.delivery_offset, record.size);
   }
+}
+
+void CalliopeClient::RecordArrival(ClientDisplayPort& port, SimTime arrival, SimTime deadline,
+                                   SimTime delivery_offset, Bytes size) {
+  if (port.first_arrival_ == SimTime()) {
+    port.first_arrival_ = arrival;
+  }
+  if (port.last_arrival_ != SimTime()) {
+    const SimTime gap = arrival - port.last_arrival_;
+    port.max_arrival_gap_ = std::max(port.max_arrival_gap_, gap);
+    if (qos_ != nullptr) {
+      qos_->RecordGap(gap);
+    }
+  }
+  port.last_arrival_ = arrival;
+  ++port.packets_received_;
+  const SimTime lateness = arrival - deadline;
+  port.arrival_lateness_.Record(lateness);
+  if (lateness > port.buffer_allowance_) {
+    ++port.glitches_;
+  }
+  if (port.playout_.has_value()) {
+    // A backwards jump in media time is a seek/rewind: new playout epoch.
+    if (delivery_offset + SimTime::Seconds(1) < port.last_media_offset_) {
+      port.playout_->Reset();
+    }
+    port.last_media_offset_ = delivery_offset;
+    port.playout_->OnArrival(arrival, delivery_offset, size);
+  }
+  port.bytes_received_ += size;
 }
 
 void CalliopeClient::OnControlAccept(TcpConn* conn) {

@@ -191,6 +191,10 @@ class CalliopeClient {
   // Flow-fidelity chunk: synthesizes the per-record arrival accounting the
   // per-packet model would have produced (see DESIGN.md §5.5).
   void OnFlowChunk(ClientDisplayPort& port, const MediaDatagramPayload& payload);
+  // Per-arrival bookkeeping of one media packet, shared by both fidelities:
+  // arrival span, gap, lateness, glitches, playout and bytes.
+  void RecordArrival(ClientDisplayPort& port, SimTime arrival, SimTime deadline,
+                     SimTime delivery_offset, Bytes size);
   void OnControlAccept(TcpConn* conn);
   GroupState& GroupFor(GroupId group);
   // Installs the receive/close handlers on conn_ (session notifications,
