@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -382,6 +383,152 @@ TEST(ObsClusterTest, TraceCoversCoordinatorMsuAndNetwork) {
   EXPECT_EQ(span_categories.count("coord"), 1u) << "no Coordinator spans";
   EXPECT_EQ(span_categories.count("msu"), 1u) << "no MSU spans";
   EXPECT_EQ(span_categories.count("net"), 1u) << "no network spans";
+}
+
+// One seeded run over the paths that trace the most: an HA pair, sharing
+// with a page cache (a batch, a cache attach, a member split by pause and
+// seek), a recording, a disk slowdown and an MSU crash. Returns the report
+// JSON; when `traced`, also the categories of every recorded event.
+std::string RunTracedScenario(bool traced, std::set<std::string>* categories) {
+  InstallationConfig config;
+  config.msu_count = 2;
+  config.standby_coordinator = true;
+  config.coordinator.sharing.enabled = true;
+  config.msu.cache_memory = Bytes::MiB(32);
+  TestCluster cluster(config);
+  Installation& calliope = cluster.installation();
+  calliope.trace().set_enabled(traced);
+  Simulator& sim = cluster.sim();
+  EXPECT_TRUE(cluster.Boot().ok());
+  EXPECT_TRUE(calliope.LoadMpegMovie("m0", SimTime::Seconds(20), 0, false).ok());
+  EXPECT_TRUE(calliope.LoadMpegMovie("m1", SimTime::Seconds(20), 1, false).ok());
+
+  FaultPlan plan;
+  FaultEvent slow;
+  slow.what = FaultClass::kDiskSlow;
+  slow.at = sim.Now() + SimTime::Seconds(1);
+  slow.duration = SimTime::Seconds(3);
+  slow.node = "msu0";
+  slow.delay = SimTime::Millis(20);
+  FaultEvent crash;
+  crash.what = FaultClass::kMsuCrash;
+  crash.at = sim.Now() + SimTime::Seconds(6);
+  crash.duration = SimTime::Seconds(2);
+  crash.node = "msu1";
+  plan.events = {slow, crash};
+  EXPECT_TRUE(calliope.ApplyFaultPlan(plan).ok());
+
+  auto client = cluster.AddConnectedClient("c");
+  EXPECT_TRUE(client.ok()) << client.status().ToString();
+  if (!client.ok()) {
+    return "";
+  }
+  CalliopeClient& c = **client;
+  auto a = PlayOn(sim, c, "m0", "v0");
+  auto b = PlayOn(sim, c, "m0", "v1");
+  auto solo = PlayOn(sim, c, "m1", "v2");
+  auto record = RecordOn(sim, c, "clip", "rtp-video", "cam", SimTime::Seconds(10));
+  EXPECT_TRUE(a.ok() && b.ok() && solo.ok() && record.ok());
+  if (!a.ok() || !b.ok() || !solo.ok() || !record.ok()) {
+    return "";
+  }
+  const PacketSequence feed = GenerateVbr(Graph2File(0), SimTime::Seconds(4));
+  CoResult<Result<int64_t>> sent;
+  Collect(c.SendRecording(record->group, 0, feed), &sent);
+  sim.RunFor(SimTime::Seconds(2));
+  auto trailer = PlayOn(sim, c, "m0", "v3");
+  EXPECT_TRUE(trailer.ok()) << trailer.status().ToString();
+  EXPECT_TRUE(VcrOp(sim, c, a->group, VcrCommand::Op::kPause).ok());
+  EXPECT_TRUE(VcrOp(sim, c, a->group, VcrCommand::Op::kSeek, SimTime::Seconds(5)).ok());
+  EXPECT_TRUE(VcrOp(sim, c, a->group, VcrCommand::Op::kPlay).ok());
+  sim.RunFor(SimTime::Seconds(8));
+
+  const std::string report = calliope.BuildClusterReport().ToJson();
+  std::vector<JsonEvent> events;
+  TraceJsonParser parser(calliope.trace().ToJson());
+  EXPECT_TRUE(parser.ParseTrace(&events)) << parser.error();
+  for (const JsonEvent& event : events) {
+    if (event.fields.count("cat") != 0u) {
+      categories->insert(event.fields.at("cat"));
+    }
+  }
+  return report;
+}
+
+// Instruments are observer-only: recording a trace must not move the
+// simulation, so equal-seed reports with tracing on and off are
+// byte-identical.
+TEST(ObsClusterTest, TracingLeavesReportUnchanged) {
+  std::set<std::string> untraced_categories;
+  const std::string untraced = RunTracedScenario(false, &untraced_categories);
+  std::set<std::string> categories;
+  const std::string traced = RunTracedScenario(true, &categories);
+  ASSERT_FALSE(untraced.empty());
+  EXPECT_EQ(traced, untraced);
+  EXPECT_TRUE(untraced_categories.empty());
+  for (const char* category : {"coord", "msu", "net", "fault"}) {
+    EXPECT_EQ(categories.count(category), 1u) << "no " << category << " events";
+  }
+}
+
+// Every instrument name an installation publishes at construction.
+std::set<std::string> PublishedNames(const InstallationConfig& config) {
+  Installation calliope(config);
+  const MetricsSnapshot snapshot = calliope.metrics().Snapshot();
+  std::set<std::string> names;
+  for (const auto& [name, value] : snapshot.counters) {
+    names.insert(name);
+  }
+  for (const auto& [name, value] : snapshot.gauges) {
+    names.insert(name);
+  }
+  for (const auto& [name, stats] : snapshot.histograms) {
+    names.insert(name);
+  }
+  return names;
+}
+
+bool PublishesFamily(const std::set<std::string>& names, const std::string& prefix) {
+  const auto it = names.lower_bound(prefix);
+  return it != names.end() && it->starts_with(prefix);
+}
+
+// A feature's metric family is registered only when the feature is on, so a
+// default installation's report carries no zero rows for features it never
+// ran (and its digest does not move when a family gains a metric).
+TEST(ObsClusterTest, FeatureFamiliesPublishOnlyWhenOn) {
+  struct Feature {
+    const char* name;
+    std::function<void(InstallationConfig&)> enable;
+    std::vector<std::string> families;
+  };
+  const std::vector<Feature> features = {
+      {"sharing", [](InstallationConfig& c) { c.coordinator.sharing.enabled = true; },
+       {"coord.groups."}},
+      {"ha", [](InstallationConfig& c) { c.standby_coordinator = true; },
+       {"coord.ha.", "coord.repl."}},
+      {"rebalance", [](InstallationConfig& c) { c.coordinator.rebalance.enabled = true; },
+       {"coord.rebalance."}},
+      {"traffic", [](InstallationConfig& c) { c.coordinator.traffic.enabled = true; },
+       {"coord.admission.", "coord.shed."}},
+  };
+  const std::set<std::string> defaults = PublishedNames(InstallationConfig());
+  for (const Feature& feature : features) {
+    for (const std::string& family : feature.families) {
+      EXPECT_FALSE(PublishesFamily(defaults, family)) << family << " published by default";
+    }
+  }
+  for (const Feature& on : features) {
+    InstallationConfig config;
+    on.enable(config);
+    const std::set<std::string> names = PublishedNames(config);
+    for (const Feature& feature : features) {
+      for (const std::string& family : feature.families) {
+        EXPECT_EQ(PublishesFamily(names, family), &feature == &on)
+            << family << " with only " << on.name << " on";
+      }
+    }
+  }
 }
 
 TEST(ObsClusterTest, ReportCountsMatchClientAndStreamStats) {
