@@ -937,7 +937,7 @@ Co<Status> Coordinator::StartCacheAttach(PendingRequest request, SharedGroup tar
   // bandwidth: the reads come from memory.
   ActiveStream& hold = plan.streams.emplace_back();
   hold.msu = target.msu;
-  hold.disk = ResourceLedger::kSharedDisk;
+  hold.disk = ResourceLedger::kNoDisk;
   hold.content_item = request.content;
   hold.session = request.session;
   hold.rate = target.rate;
@@ -1000,7 +1000,7 @@ Co<void> Coordinator::StartSharedGroup(std::string content,
   Status started = placement.status();
   if (placement.ok()) {
     // One disk-bandwidth hold feeds the whole group; every member charges
-    // NIC bandwidth only (kSharedDisk) — that is the entire point of sharing.
+    // NIC bandwidth only (kNoDisk) — that is the entire point of sharing.
     const Component& component = resolved->front();  // eligibility => exactly one
     LaunchPlan plan;
     plan.msu = placement->msu;
@@ -1029,7 +1029,7 @@ Co<void> Coordinator::StartSharedGroup(std::string content,
       member.client_udp_port = request.port.udp_port;
       member.client_control_port = request.port.control_port;
       ActiveStream& viewer = plan.streams.emplace_back(delivery);
-      viewer.disk = ResourceLedger::kSharedDisk;
+      viewer.disk = ResourceLedger::kNoDisk;
       viewer.group = request.group;
       viewer.session = request.session;
     }
@@ -1155,11 +1155,11 @@ RebalanceSnapshot Coordinator::BuildRebalanceSnapshot() const {
     view.node = name;
     view.up = account.up;
     view.nic_budget = account.nic_budget;
-    view.nic_load = account.NicLoad();
+    view.nic_load = account.nic_load;
     view.free_space = account.free_space;
     for (const DiskAccount& disk : account.disks) {
       DiskView disk_view;
-      disk_view.load = disk.load + disk.replication_io;
+      disk_view.load = disk.load;
       view.disks.push_back(disk_view);
     }
     snapshot.msus.push_back(std::move(view));

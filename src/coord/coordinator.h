@@ -236,7 +236,7 @@ class Coordinator {
 
   // ---- stream sharing (DESIGN §5.6) ----
   // One live shared delivery group, keyed by its delivery stream id. Members
-  // are ordinary ActiveStream entries (their kSharedDisk ledger holds charge
+  // are ordinary ActiveStream entries (their kNoDisk ledger holds charge
   // NIC + cache memory only), so progress reports and failover reuse the
   // unique-stream machinery; this record exists for attach decisions and the
   // groups gauge.

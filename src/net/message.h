@@ -667,7 +667,7 @@ struct ReplStreamStarted {
   StreamId stream = 0;
   GroupId group = 0;
   std::string msu;
-  int disk = 0;              // the hold's disk; ResourceLedger::kSharedDisk when cache/fan-out fed
+  int disk = 0;              // the hold's disk; ResourceLedger::kNoDisk when cache/fan-out fed
   int component = 0;         // index within the group's composite type
   std::string content_item;  // atomic item name
   bool recording = false;
@@ -769,8 +769,9 @@ struct ReplPendingReordered {
   bool operator==(const ReplPendingReordered&) const = default;
 };
 
-// A background replica copy launched by the rebalancer: the standby mirrors
-// the ledger's replication_io holds (source + target disks) and keeps an op
+// A background replica copy launched by the rebalancer: applying it takes one
+// ledger hold per end (source and target disk, the replica's space on the
+// target), on the primary and the standby alike, and keeps an op
 // shadow so a takeover can adopt — or clean up — in-flight copies. The
 // Coordinator keeps these as its in-flight copy bookkeeping. The catalog
 // location install itself needs no record: the catalog is the shared durable

@@ -8,9 +8,13 @@
 //              before any MSU is contacted, so racing admissions never see
 //              stale load numbers. The returned Txn rolls the debit back in
 //              its destructor unless committed.
-//   Commit()   transfers one component's reservation into a per-stream hold.
-//   Release()  refunds a stream's hold exactly once; recordings pass the
-//              bytes actually written so only the over-estimate is returned.
+//   Commit()   transfers one component's reservation into a hold.
+//   Release()  refunds a hold exactly once; recordings pass the bytes
+//              actually written so only the over-estimate is returned.
+//
+// There is one kind of hold: {msu, disk or none, rate, space, cache, epoch}.
+// A disk stream, a cache-served viewer (no disk) and each end of a
+// background replica copy all charge and refund the same way.
 //
 // Accounts carry an epoch that bumps on (re-)registration; stale transactions
 // and holds from before a re-registration never touch the fresh numbers.
@@ -20,12 +24,9 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "src/net/message.h"
 #include "src/util/status.h"
 #include "src/util/units.h"
 
@@ -36,12 +37,10 @@ namespace calliope {
 struct DiskAccount {
   DiskAccount() = default;
 
-  DataRate load;    // reserved bandwidth
-  int streams = 0;  // committed streams served from this disk
-  // Bandwidth held by background replica copies (rebalancing, DESIGN §5.8).
-  // Placement counts it as load — live admissions route around a copy-busy
-  // disk — but it is tracked separately so the planner can preempt it.
-  DataRate replication_io;
+  // Reserved bandwidth: streams served from this disk and background replica
+  // copies reading or writing it (DESIGN §5.8). Placement counts all of it.
+  DataRate load;
+  int streams = 0;  // committed holds on this disk, copy ends included
 };
 
 struct MsuAccount {
@@ -53,52 +52,52 @@ struct MsuAccount {
   Bytes free_space;
   // Outbound NIC capacity (ROADMAP "network-path admission"). Zero means
   // unlimited; placement rejects groups whose aggregate rate would push
-  // NicLoad() past a nonzero budget even when individual disks have room.
+  // nic_load past a nonzero budget even when individual disks have room.
   DataRate nic_budget;
+  // Every reservation's rate, with or without a disk: what the outbound NIC
+  // carries, checked against nic_budget.
+  DataRate nic_load;
   // Interval/prefix cache budget (stream sharing, DESIGN §5.6). Zero means
   // the MSU has no page cache; cache-served viewers reserve bytes here
   // instead of disk bandwidth.
   Bytes cache_memory;
   Bytes cache_used;
-  // Rate reserved by cache-served viewers: consumes the NIC but no disk.
-  DataRate shared_load;
-  int shared_streams = 0;
   std::vector<DiskAccount> disks;
   int64_t epoch = 0;  // bumps on every (re-)registration
 
-  DataRate TotalLoad() const;
-  // Sum of the disks' replication_io: bandwidth serving background copies.
-  DataRate ReplicationLoad() const;
-  // TotalLoad() plus the cache-served viewers' shared_load plus replication
-  // traffic: what the outbound NIC actually carries, checked against
-  // nic_budget.
-  DataRate NicLoad() const;
-  int TotalStreams() const;
+  DataRate TotalLoad() const;  // sum of the disks' load
 };
 
 class ResourceLedger {
  public:
-  // Disk index marking a cache-served (shared) reservation: the item's rate
-  // debits shared_load (NIC only) and its cache bytes debit cache_used; no
-  // disk bandwidth or space is touched.
-  static constexpr int kSharedDisk = -1;
+  // Disk index of a reservation that reads no disk: a cache-served viewer
+  // (DESIGN §5.6) charges the NIC and the cache budget only.
+  static constexpr int kNoDisk = -1;
 
-  // One component's share of a group reservation.
+  // What a hold pays for. A stream's hold is keyed by its StreamId (always
+  // positive); the two ends of background copy op `op` (op >= 1) are keyed
+  // by CopyHold(op, ...), which maps them onto negative ids.
+  using HoldId = int64_t;
+  enum class CopyEnd { kSource, kTarget };
+  static constexpr HoldId CopyHold(int64_t op, CopyEnd end) {
+    return -2 * op - (end == CopyEnd::kTarget ? 1 : 0);
+  }
+
+  // One component's share of a reservation: a stream, or one end of a copy.
   struct ReserveItem {
     ReserveItem() = default;
-    ReserveItem(int disk_index, DataRate bandwidth, Bytes space_bytes)
-        : disk(disk_index), rate(bandwidth), space(space_bytes) {}
-    ReserveItem(int disk_index, DataRate bandwidth, Bytes space_bytes, Bytes cache_bytes)
+    ReserveItem(int disk_index, DataRate bandwidth, Bytes space_bytes,
+                Bytes cache_bytes = Bytes())
         : disk(disk_index), rate(bandwidth), space(space_bytes), cache(cache_bytes) {}
 
-    int disk = 0;
+    int disk = 0;  // kNoDisk: charges no disk bandwidth
     DataRate rate;
     Bytes space;
-    Bytes cache;  // interval-cache bytes; only meaningful with disk == kSharedDisk
+    Bytes cache;  // interval-cache bytes
   };
 
-  // A group reservation in flight. Move-only; uncommitted items are refunded
-  // when the transaction is destroyed (e.g. the MSU refused the stream).
+  // A reservation in flight. Move-only; uncommitted items are refunded when
+  // the transaction is destroyed (e.g. the MSU refused the stream).
   class Txn {
    public:
     Txn() = default;
@@ -110,12 +109,12 @@ class ResourceLedger {
 
     bool valid() const { return ledger_ != nullptr; }
     const std::string& msu() const { return node_; }
-    // Converts item `index` into a per-stream hold; `stream`'s bandwidth and
-    // space now stay debited until Release(stream).
-    void Commit(size_t index, StreamId stream);
+    // Converts item `index` into hold `id`: its bandwidth, space and cache
+    // now stay debited until Release(id).
+    void Commit(size_t index, HoldId id);
     // Commit() of the first item not yet committed: callers that commit in
     // reservation order need not track indices.
-    void CommitNext(StreamId stream);
+    void CommitNext(HoldId id);
 
    private:
     friend class ResourceLedger;
@@ -148,104 +147,55 @@ class ResourceLedger {
   DataRate DiskLoad(const std::string& node, int disk) const;
   Bytes FreeSpace(const std::string& node) const;
 
-  // Debits every item's bandwidth (and space) on `node` at once. Fails with
-  // kUnavailable if the MSU is unknown or down, kInvalidArgument on a bad
-  // disk index. Budget checks are the placement policy's job, not ours —
-  // except the cache budget, which no policy sees: a kSharedDisk item whose
-  // cache bytes would push cache_used past cache_memory fails with
-  // kResourceExhausted.
+  // Debits every item on `node` at once. Fails with kUnavailable if the MSU
+  // is unknown or down, kInvalidArgument on a bad disk index. Budget checks
+  // are the placement policy's job, not ours — except the cache budget, which
+  // no policy sees: items whose cache bytes would push cache_used past
+  // cache_memory fail with kResourceExhausted.
   Result<Txn> Reserve(const std::string& node, std::vector<ReserveItem> items);
 
-  // Refunds `stream`'s hold: bandwidth in full, space minus `space_used`.
-  // Returns false (and changes nothing) if the stream holds nothing — calling
-  // twice is safe, the second call is a no-op.
-  bool Release(StreamId stream, Bytes space_used = Bytes());
+  // Refunds hold `id`: bandwidth and cache in full, space minus `space_used`
+  // (a recording's bytes written, an installed replica's whole size).
+  // Returns false (and changes nothing) if `id` holds nothing — calling twice
+  // is safe, the second call is a no-op.
+  bool Release(HoldId id, Bytes space_used = Bytes());
 
   // ---- introspection for tests and benches ----
   DataRate TotalReserved() const;  // sum of every disk's reserved bandwidth
   size_t outstanding_holds() const { return holds_.size(); }
 
-  // One committed stream hold, exposed for HA snapshots and tests.
-  struct HoldInfo {
-    HoldInfo() = default;
+  struct Hold {
+    Hold() = default;
 
     std::string msu;
-    int disk = 0;  // kSharedDisk for cache-served holds
-    DataRate rate;
-    Bytes space;
-    Bytes cache;
-    bool current_epoch = false;  // matches the account's registration epoch
+    ReserveItem item;
+    int64_t epoch = 0;  // the account's registration epoch when committed
   };
-  std::optional<HoldInfo> FindHold(StreamId stream) const;
-  void ForEachHold(const std::function<void(StreamId, const HoldInfo&)>& fn) const;
-
-  // ---- background replica copies (rebalancing, DESIGN §5.8) ----
-  //
-  // A copy op holds replication_io bandwidth on the source's and the target's
-  // disks (debiting each NIC through NicLoad) plus the replica's estimated
-  // space on the target. Holds are epoch-stamped like stream holds: an MSU
-  // re-registration silently invalidates them.
-
-  // Adds one end of copy op `op` (at most one hold per (op, msu) pair).
-  // Fails with kUnavailable if the MSU is unknown or down, kInvalidArgument
-  // on a bad disk index or a duplicate hold.
-  Status AddReplication(int64_t op, const std::string& node, int disk, DataRate rate,
-                        Bytes space = Bytes());
-  // Releases every hold of `op`. With keep_space (the replica committed) the
-  // target's space stays debited; otherwise it is refunded. Safe to call for
-  // unknown ops (no-op, returns false).
-  bool ReleaseReplication(int64_t op, bool keep_space = false);
-  size_t outstanding_replications() const { return repl_holds_.size(); }
-
-  struct ReplicationHoldInfo {
-    ReplicationHoldInfo() = default;
-
-    std::string msu;
-    int disk = 0;
-    DataRate rate;
-    Bytes space;
-    bool current_epoch = false;
-  };
-  void ForEachReplication(
-      const std::function<void(int64_t, const ReplicationHoldInfo&)>& fn) const;
+  // False for a hold committed under an earlier registration of its MSU:
+  // it no longer touches the account's numbers.
+  bool IsCurrent(const Hold& hold) const;
+  // Every hold in HoldId order (copy ends first), for HA snapshots and tests.
+  void ForEachHold(const std::function<void(HoldId, const Hold&)>& fn) const;
 
   // Structural consistency check for tests and the chaos harness: no negative
-  // balances, every current-epoch hold referencing a real account and disk,
-  // per-disk stream counts equal to the number of current-epoch holds, and
-  // per-disk committed bandwidth no larger than the reserved load (in-flight
-  // transactions account for the difference). Returns the first violation.
+  // balances; every hold on a known account, from no future epoch, on a real
+  // disk; per-disk hold counts equal to the current-epoch holds there; and
+  // committed disk bandwidth, NIC bandwidth and cache bytes no larger than
+  // the reserved balances (in-flight transactions account for the
+  // difference). Returns the first violation.
   Status CheckInvariants() const;
 
  private:
-  struct StreamHold {
-    StreamHold() = default;
-
-    std::string msu;
-    int disk = 0;
-    DataRate rate;
-    Bytes space;
-    Bytes cache;
-    int64_t epoch = 0;
-  };
-
-  struct ReplicationHold {
-    ReplicationHold() = default;
-
-    std::string msu;
-    int disk = 0;
-    DataRate rate;
-    Bytes space;
-    int64_t epoch = 0;
-  };
-
-  // Refunds one item to its account; no-op if the account re-registered.
-  void Refund(const std::string& node, int64_t epoch, int disk, DataRate rate,
-              Bytes space, Bytes cache);
+  // Charges (sign +1) or refunds (sign -1) one item on `account`: its rate
+  // on the NIC and, if it has a disk, on that disk; its space against
+  // free_space; its cache bytes against cache_used. A refund never drives
+  // bandwidth or cache usage below zero.
+  static void Charge(MsuAccount& account, const ReserveItem& item, int sign);
+  // The account `hold` still charges, or nullptr if it re-registered since.
+  MsuAccount* CurrentAccount(const std::string& node, int64_t epoch);
 
   std::map<std::string, MsuAccount> msus_;
-  std::map<StreamId, StreamHold> holds_;
-  // Replica-copy holds: op id -> the op's per-MSU holds (source + target).
-  std::map<int64_t, std::vector<ReplicationHold>> repl_holds_;
+  std::map<HoldId, Hold> holds_;
 };
 
 }  // namespace calliope
