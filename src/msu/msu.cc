@@ -38,7 +38,7 @@ Msu::Msu(Machine& machine, NetNode& node, MetricsRegistry& metrics, TraceRecorde
       params_(params),
       fs_(MachineDisks(machine)),
       page_cache_(params.cache_memory),
-      duty_cycle_(machine.params().disk, machine.params().hba, params.block_size,
+      duty_cycle_(machine.params().disk, machine.params().hba, kDataPageSize,
                   static_cast<int>(machine.disk_count()), params.striped_layout),
       protocols_(ProtocolRegistry::WithBuiltins()),
       buffer_pool_(machine.sim(), params.buffer_count),
@@ -837,9 +837,9 @@ MessageBody Msu::HandlePrepareCopy(const MsuPrepareCopy& request) {
   if (Status admitted = duty_cycle_.Admit(disk, request.rate); !admitted.ok()) {
     return MessageBody{MsuPrepareCopyResponse{false, admitted.ToString()}};
   }
-  ReplicaSourceOp source;
+  CopyEnd source;
   source.op = request.op;
-  source.file = request.file;
+  source.source_file = request.file;
   source.disk = disk;
   source.rate = request.rate;
   source.slot_held = true;
@@ -864,7 +864,7 @@ Co<MessageBody> Msu::ServeReplicaPull(ReplPullRequest request) {
     response.error = "unknown copy op";
     co_return MessageBody{std::move(response)};
   }
-  auto file = fs_.Lookup(it->second.file);
+  auto file = fs_.Lookup(it->second.source_file);
   if (!file.ok()) {
     response.error = file.status().ToString();
     co_return MessageBody{std::move(response)};
@@ -889,9 +889,7 @@ Co<MessageBody> Msu::ServeReplicaPull(ReplPullRequest request) {
     // while the response is still on the wire.
     response.image = std::make_shared<const IbTreeFile>((*file)->image());
     // Source end done — the last page is served, free the read slot.
-    if (it->second.slot_held) {
-      duty_cycle_.Release(it->second.disk, it->second.rate);
-    }
+    ReleaseCopySlot(it->second);
     replica_sources_.erase(it);
   }
   co_return MessageBody{std::move(response)};
@@ -913,7 +911,7 @@ MessageBody Msu::HandleBeginCopy(const MsuBeginCopy& request) {
     (void)fs_.Delete(request.replica_file);
     return MessageBody{SimpleResponse{false, admitted.ToString()}};
   }
-  ReplicaPullOp pull;
+  CopyEnd pull;
   pull.op = request.op;
   pull.content = request.content;
   pull.source_node = request.source_node;
@@ -937,24 +935,26 @@ MessageBody Msu::HandleAbortCopy(const MsuAbortCopy& request) {
   }
   auto source_it = replica_sources_.find(request.op);
   if (source_it != replica_sources_.end()) {
-    if (source_it->second.slot_held) {
-      duty_cycle_.Release(source_it->second.disk, source_it->second.rate);
-    }
+    ReleaseCopySlot(source_it->second);
     replica_sources_.erase(source_it);
   }
   return MessageBody{SimpleResponse{true, ""}};  // idempotent: unknown op acked
 }
 
-void Msu::AbortPull(ReplicaPullOp& pull, std::string reason) {
+void Msu::ReleaseCopySlot(CopyEnd& end) {
+  if (end.slot_held) {
+    duty_cycle_.Release(end.disk, end.rate);
+    end.slot_held = false;
+  }
+}
+
+void Msu::AbortPull(CopyEnd& pull, std::string reason) {
   if (pull.aborted) {
     return;
   }
   pull.aborted = true;
   pull.abort_reason = std::move(reason);
-  if (pull.slot_held) {
-    duty_cycle_.Release(pull.disk, pull.rate);
-    pull.slot_held = false;
-  }
+  ReleaseCopySlot(pull);
   // A pending pull Call fails as the connection closes, waking the loop; a
   // loop asleep at its pace point notices `aborted` when the timer fires.
   if (pull.conn != nullptr && !pull.conn->closed()) {
@@ -963,31 +963,32 @@ void Msu::AbortPull(ReplicaPullOp& pull, std::string reason) {
 }
 
 bool Msu::PreemptCopyOnDisk(int disk_index) {
-  for (auto& [op, pull] : replica_pulls_) {
-    if (pull.disk == disk_index && pull.slot_held && !pull.aborted) {
-      trace_.Instant(node_->name(), "msu", "copy-preempt", "op " + std::to_string(op));
+  // Target pulls first, then sources.
+  for (auto* ends : {&replica_pulls_, &replica_sources_}) {
+    for (auto it = ends->begin(); it != ends->end(); ++it) {
+      CopyEnd& end = it->second;
+      if (end.disk != disk_index || !end.slot_held || end.aborted) {
+        continue;
+      }
+      const bool source = ends == &replica_sources_;
+      trace_.Instant(node_->name(), "msu", "copy-preempt",
+                     "op " + std::to_string(it->first) + (source ? " (source)" : ""));
       repl_preempts_metric_.Add();
-      AbortPull(pull, "preempted by live admission");
+      if (!source) {
+        AbortPull(end, "preempted by live admission");
+        return true;
+      }
+      // Killing the source serve (not just its slot): an unaccounted read
+      // stream on a saturated disk is exactly what replication must never be.
+      ReleaseCopySlot(end);
+      ReplicaCopyFailed note;
+      note.op = it->first;
+      note.msu_node = node_->name();
+      note.error = "preempted by live admission (copy source)";
+      ends->erase(it);
+      QueueNote(MessageBody{std::move(note)});
       return true;
     }
-  }
-  for (auto it = replica_sources_.begin(); it != replica_sources_.end(); ++it) {
-    if (it->second.disk != disk_index || !it->second.slot_held) {
-      continue;
-    }
-    // Killing the source serve (not just its slot): an unaccounted read
-    // stream on a saturated disk is exactly what replication must never be.
-    duty_cycle_.Release(it->second.disk, it->second.rate);
-    trace_.Instant(node_->name(), "msu", "copy-preempt",
-                   "op " + std::to_string(it->first) + " (source)");
-    repl_preempts_metric_.Add();
-    ReplicaCopyFailed note;
-    note.op = it->first;
-    note.msu_node = node_->name();
-    note.error = "preempted by live admission (copy source)";
-    replica_sources_.erase(it);
-    QueueNote(MessageBody{std::move(note)});
-    return true;
   }
   return false;
 }
@@ -1105,14 +1106,12 @@ Task Msu::RunReplicaPull(int64_t op_id) {
   if (it == replica_pulls_.end()) {
     co_return;
   }
-  ReplicaPullOp done = std::move(it->second);
+  CopyEnd done = std::move(it->second);
   replica_pulls_.erase(it);
   if (done.conn != nullptr && !done.conn->closed()) {
     done.conn->Close();
   }
-  if (done.slot_held) {
-    duty_cycle_.Release(done.disk, done.rate);
-  }
+  ReleaseCopySlot(done);
   bool installed = false;
   std::string error = done.abort_reason.empty() ? "copy failed" : done.abort_reason;
   if (!done.aborted && done.image != nullptr) {
@@ -1218,20 +1217,12 @@ void Msu::Crash() {
   // the restarted MSU's table starts clean for copies, and drop the op maps —
   // resumed pull loops see the missing op and just exit. Partial replica
   // files are uncommitted, so the Restart() sweep reclaims them.
-  for (auto& [op, pull] : replica_pulls_) {
-    (void)op;
-    if (pull.slot_held) {
-      duty_cycle_.Release(pull.disk, pull.rate);
+  for (auto* ends : {&replica_pulls_, &replica_sources_}) {
+    for (auto& entry : *ends) {
+      ReleaseCopySlot(entry.second);
     }
+    ends->clear();
   }
-  replica_pulls_.clear();
-  for (auto& [op, source] : replica_sources_) {
-    (void)op;
-    if (source.slot_held) {
-      duty_cycle_.Release(source.disk, source.rate);
-    }
-  }
-  replica_sources_.clear();
   // The process died: queued notes and warm-registration eligibility are
   // gone. epoch_hosts_ survives (a tiny durable epoch file), so a restarted
   // MSU still fences deposed primaries.

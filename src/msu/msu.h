@@ -286,7 +286,6 @@ struct MsuParams {
   // "available main memory is organized into large buffers" — 32 MB minus
   // code/metadata leaves ~112 file-block buffers.
   int buffer_count = 112;
-  Bytes block_size = kDataPageSize;
   bool striped_layout = false;  // §2.3.3: current implementation does not stripe
   // §2.3.3: "The current implementation of the MSU does not employ disk head
   // scheduling" — optional elevator (SCAN) ordering, worth ~6%.
@@ -449,33 +448,24 @@ class Msu {
   void NoteDiskInteresting(int disk_index);
 
   // --- Background replica copies (DESIGN §5.8) ---
-  // Source end of one copy: serves ReplPullRequests while holding a
-  // duty-cycle slot on the file's disk, so live service is never oversold
-  // by replication reads.
-  struct ReplicaSourceOp {
-    ReplicaSourceOp() = default;
+  // One end of a copy, holding a duty-cycle slot on `disk` at `rate` so live
+  // service is never oversold by replication I/O. A source end serves
+  // ReplPullRequests for source_file; a target end runs a paced pull of it
+  // into replica_file (the fields from `content` on are the target's).
+  struct CopyEnd {
+    CopyEnd() = default;
 
     int64_t op = 0;
-    std::string file;
+    std::string source_file;
     int disk = 0;
     DataRate rate;
     bool slot_held = false;
-  };
-  // Target end of one copy: a paced pull in progress.
-  struct ReplicaPullOp {
-    ReplicaPullOp() = default;
-
-    int64_t op = 0;
+    bool aborted = false;  // a target pull rolling back; never preempted again
     std::string content;
     std::string source_node;
     int source_port = 0;
-    std::string source_file;
     std::string replica_file;
-    DataRate rate;
     int64_t page_count = 0;
-    int disk = 0;
-    bool slot_held = false;
-    bool aborted = false;
     std::string abort_reason;
     TcpConn* conn = nullptr;
     Bytes bytes_copied;
@@ -486,9 +476,11 @@ class Msu {
   // committed via the deep-copied image on the last page. Re-looks the op
   // up after every await — aborts and crashes mutate the map underneath it.
   Task RunReplicaPull(int64_t op_id);
+  // Frees `end`'s duty-cycle slot; a no-op once freed.
+  void ReleaseCopySlot(CopyEnd& end);
   // Stops a target-end pull: frees its duty slot immediately (preempting
   // callers need it synchronously) and flags the loop to roll back.
-  void AbortPull(ReplicaPullOp& pull, std::string reason);
+  void AbortPull(CopyEnd& pull, std::string reason);
   // Frees the duty slot of one in-flight copy end on `disk_index` so a live
   // admission can take it; the copy aborts and the Coordinator reschedules.
   bool PreemptCopyOnDisk(int disk_index);
@@ -525,9 +517,9 @@ class Msu {
   // process died); otherwise drained by FlushNotes().
   std::deque<MessageBody> outbox_;
   bool outbox_flushing_ = false;
-  // Background replica-copy state (DESIGN §5.8), keyed by Coordinator op id.
-  std::map<int64_t, ReplicaSourceOp> replica_sources_;
-  std::map<int64_t, ReplicaPullOp> replica_pulls_;
+  // Background replica-copy ends (DESIGN §5.8), keyed by Coordinator op id.
+  std::map<int64_t, CopyEnd> replica_sources_;
+  std::map<int64_t, CopyEnd> replica_pulls_;
   StreamId next_local_stream_id_ = 1000000;  // for locally-initiated streams
 
   // Instruments, bound at construction so the per-packet path is one add.
