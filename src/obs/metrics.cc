@@ -1,9 +1,18 @@
 #include "src/obs/metrics.h"
 
+#include <cstdio>
+#include <cstdlib>
 #include <utility>
 
 namespace calliope {
 namespace {
+
+// A name with two publishers would snapshot one and read the other.
+[[noreturn]] void SecondPublisher(const std::string& name) {
+  std::fprintf(stderr, "MetricsRegistry: %s already has a publisher of another kind\n",
+               name.c_str());
+  std::abort();
+}
 
 void AppendJsonString(std::string& out, const std::string& value) {
   out += '"';
@@ -28,6 +37,9 @@ void AppendJsonString(std::string& out, const std::string& value) {
 }  // namespace
 
 Counter& MetricsRegistry::counter(const std::string& name) {
+  if (counter_callbacks_.contains(name)) {
+    SecondPublisher(name);
+  }
   auto& slot = counters_[name];
   if (slot == nullptr) {
     slot = std::make_unique<Counter>();
@@ -36,6 +48,9 @@ Counter& MetricsRegistry::counter(const std::string& name) {
 }
 
 Gauge& MetricsRegistry::gauge(const std::string& name) {
+  if (gauge_callbacks_.contains(name)) {
+    SecondPublisher(name);
+  }
   auto& slot = gauges_[name];
   if (slot == nullptr) {
     slot = std::make_unique<Gauge>();
@@ -52,10 +67,16 @@ Histogram& MetricsRegistry::histogram(const std::string& name) {
 }
 
 void MetricsRegistry::SetGaugeCallback(const std::string& name, std::function<int64_t()> fn) {
+  if (gauges_.contains(name)) {
+    SecondPublisher(name);
+  }
   gauge_callbacks_[name] = std::move(fn);
 }
 
 void MetricsRegistry::SetCounterCallback(const std::string& name, std::function<int64_t()> fn) {
+  if (counters_.contains(name)) {
+    SecondPublisher(name);
+  }
   counter_callbacks_[name] = std::move(fn);
 }
 

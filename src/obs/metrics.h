@@ -77,6 +77,9 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   // Find-or-create. Returned references are stable for the registry's life.
+  // A name has one kind of publisher: counter() on a name published by
+  // SetCounterCallback, or gauge() on one published by SetGaugeCallback (and
+  // the other way round), aborts the process.
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name);

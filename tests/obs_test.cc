@@ -235,6 +235,42 @@ TEST(MetricsRegistryTest, GaugeCallbackReRegistrationReplaces) {
   EXPECT_EQ(snap.gauges.size(), 1u);
 }
 
+TEST(MetricsRegistryDeathTest, NameHasOneKindOfPublisher) {
+  // counter() on a pulled name would read a separate zero Counter while
+  // Snapshot() reports the callback; either order of registration aborts.
+  const auto pulled_then_pushed = [](bool gauge) {
+    MetricsRegistry registry;
+    if (gauge) {
+      registry.SetGaugeCallback("coord.msus.up", [] { return int64_t{3}; });
+      (void)registry.gauge("coord.msus.up");
+    } else {
+      registry.SetCounterCallback("coord.groups.formed", [] { return int64_t{3}; });
+      (void)registry.counter("coord.groups.formed");
+    }
+  };
+  const auto pushed_then_pulled = [](bool gauge) {
+    MetricsRegistry registry;
+    if (gauge) {
+      registry.gauge("coord.msus.up").Set(1);
+      registry.SetGaugeCallback("coord.msus.up", [] { return int64_t{3}; });
+    } else {
+      registry.counter("coord.groups.formed").Add();
+      registry.SetCounterCallback("coord.groups.formed", [] { return int64_t{3}; });
+    }
+  };
+  for (const bool gauge : {false, true}) {
+    EXPECT_DEATH(pulled_then_pushed(gauge), "already has a publisher") << gauge;
+    EXPECT_DEATH(pushed_then_pulled(gauge), "already has a publisher") << gauge;
+  }
+  // A counter and a gauge may share a name: they land in separate sections.
+  MetricsRegistry registry;
+  registry.counter("x").Add(2);
+  registry.SetGaugeCallback("x", [] { return int64_t{5}; });
+  const MetricsSnapshot snap = registry.Snapshot();
+  EXPECT_EQ(snap.counters.at("x"), 2);
+  EXPECT_EQ(snap.gauges.at("x"), 5);
+}
+
 // ---- TraceRecorder ----------------------------------------------------------
 
 TEST(TraceRecorderTest, DisabledRecorderDropsEvents) {
