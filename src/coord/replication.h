@@ -22,8 +22,8 @@
 //     proof of peer death: the primary continues solo, and a joined standby
 //     promotes itself immediately.
 //   * A silent-but-alive link means a partition. The primary steps down when
-//     an append goes unacknowledged for `lease`; the standby promotes only
-//     after `takeover_grace` > lease of silence. One simulation clock, so
+//     an append goes unacknowledged for kHaLease; the standby promotes only
+//     after kTakeoverGrace > kHaLease of silence. One simulation clock, so
 //     the deposed primary is always fenced before the standby serves.
 //   * Every externally visible mutation is acknowledged by the standby
 //     before the client sees the response (synchronous log shipping); a
@@ -42,6 +42,22 @@ namespace calliope {
 
 enum class HaRole { kPrimary, kStandby };
 
+// Maximum quiet gap between appends; empty batches double as heartbeats.
+inline constexpr SimTime kHaHeartbeat = SimTime::Millis(250);
+// An append unacknowledged this long deposes the primary (self-fencing).
+inline constexpr SimTime kHaLease = SimTime::Millis(900);
+// A joined standby promotes itself after this much append silence. Exceeds
+// kHaLease so the old primary always fences first.
+inline constexpr SimTime kTakeoverGrace = SimTime::Millis(1500);
+static_assert(kTakeoverGrace > kHaLease);
+// A standby that never receives a snapshot (no live primary anywhere, e.g.
+// both crashed before the first join) self-promotes after this long, two
+// epochs ahead so it can never collide with an unseen takeover.
+inline constexpr SimTime kOrphanGrace = SimTime::Seconds(4);
+// After takeover, MSUs that have not redialed the new primary within this
+// window are declared down and their groups failed over.
+inline constexpr SimTime kMsuRejoinGrace = SimTime::Seconds(3);
+
 struct HaConfig {
   HaConfig() = default;
 
@@ -49,20 +65,6 @@ struct HaConfig {
   std::string peer_node;  // the other coordinator's node
   int peer_port = 5000;   // its control listen port
   bool start_as_standby = false;
-  // Maximum quiet gap between appends; empty batches double as heartbeats.
-  SimTime heartbeat = SimTime::Millis(250);
-  // An append unacknowledged this long deposes the primary (self-fencing).
-  SimTime lease = SimTime::Millis(900);
-  // A joined standby promotes itself after this much append silence. Must
-  // exceed `lease` so the old primary always fences first.
-  SimTime takeover_grace = SimTime::Millis(1500);
-  // A standby that never receives a snapshot (no live primary anywhere, e.g.
-  // both crashed before the first join) self-promotes after this long, two
-  // epochs ahead so it can never collide with an unseen takeover.
-  SimTime orphan_grace = SimTime::Seconds(4);
-  // After takeover, MSUs that have not redialed the new primary within this
-  // window are declared down and their groups failed over.
-  SimTime msu_rejoin_grace = SimTime::Seconds(3);
 };
 
 }  // namespace calliope

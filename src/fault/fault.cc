@@ -55,6 +55,9 @@ std::string FaultEvent::ToString() const {
 
 namespace {
 
+// Random events a plan adds on top of its one-per-class guarantee.
+constexpr int kExtraEvents = 2;
+
 SimTime RandSpan(Rng& rng, SimTime lo, SimTime hi) {
   return SimTime(rng.NextInRange(lo.nanos(), hi.nanos()));
 }
@@ -150,7 +153,7 @@ FaultPlan FaultPlan::Random(uint64_t seed, const FaultPlanOptions& options) {
   for (FaultClass what : classes) {
     plan.events.push_back(MakeEvent(rng, what, options));
   }
-  for (int i = 0; i < options.extra_events; ++i) {
+  for (int i = 0; i < kExtraEvents; ++i) {
     const FaultClass what = classes[static_cast<size_t>(rng.NextBelow(classes.size()))];
     plan.events.push_back(MakeEvent(rng, what, options));
   }

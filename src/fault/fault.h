@@ -72,8 +72,6 @@ struct FaultEvent {
 struct FaultPlanOptions {
   FaultPlanOptions() = default;
 
-  // Extra random events on top of the one-per-class guarantee.
-  int extra_events = 2;
   // All windows start and end inside [earliest, horizon].
   SimTime earliest = SimTime::Seconds(1);
   SimTime horizon = SimTime::Seconds(30);
@@ -93,7 +91,7 @@ struct FaultPlan {
 
   // Deterministic random plan: at least one event of every enabled fault
   // class, with randomized timing, targets and magnitudes, plus
-  // `options.extra_events` more. Same seed + options => same plan.
+  // two more of random classes. Same seed + options => same plan.
   static FaultPlan Random(uint64_t seed, const FaultPlanOptions& options);
 
   bool HasClass(FaultClass what) const;

@@ -9,6 +9,8 @@ namespace calliope {
 
 namespace {
 constexpr Bytes kUdpIpHeader = Bytes(28);
+// Seed of the media-datagram loss/jitter draws.
+constexpr uint64_t kFaultSeed = 97;
 }  // namespace
 
 // ---------------------------------------------------------------- TcpConn
@@ -323,7 +325,7 @@ void NetNode::HandleReceivedDatagram(const Datagram& datagram) {
 
 Network::Network(Simulator& sim, MetricsRegistry& metrics, TraceRecorder& trace,
                  NetworkParams params)
-    : sim_(&sim), params_(params), fault_rng_(params.fault_seed), trace_(trace) {
+    : sim_(&sim), params_(params), fault_rng_(kFaultSeed), trace_(trace) {
   // All monotonic tallies: pull-mode counters, so the sampler's per-window
   // deltas turn them into packet/byte/drop rates.
   metrics.SetCounterCallback("net.datagrams.sent", [this] { return datagrams_sent_; });

@@ -53,7 +53,6 @@ struct NetworkParams {
   // multimedia delivery network anyway."
   double udp_loss_rate = 0.0;
   SimTime udp_jitter_max;
-  uint64_t fault_seed = 97;
 };
 
 // A datagram in flight. `payload` is opaque to the fabric.
