@@ -11,7 +11,8 @@
 //   * At most one coordinator owns each epoch, observed from the MSUs'
 //     durable epoch records.
 //   * Whenever the standby has acknowledged every record, its replicated
-//     state equals the primary's — stream sharing included.
+//     state equals the primary's — stream sharing and ledger balances
+//     included (ExpectStandbyMirrorsPrimary, tests/test_util.h).
 //   * Equal seeds produce byte-identical ClusterReports.
 #include <gtest/gtest.h>
 
@@ -49,33 +50,6 @@ void ExpectAtMostOnePrimaryPerEpoch(TestCluster& cluster) {
           << "epoch " << epoch << " accepted from two coordinators (msu" << i << ")";
     }
   }
-}
-
-// At a quiet point — one live primary whose joined standby has acknowledged
-// every record, with no retry pass in flight — the standby's replicated
-// state equals the primary's. Returns false (checking nothing) elsewhere.
-bool ExpectStandbyMirrorsPrimary(Installation& installation) {
-  Coordinator& primary = installation.current_primary();
-  Coordinator& other = &primary == &installation.coordinator()
-                           ? *installation.standby_coordinator()
-                           : installation.coordinator();
-  if (primary.crashed() || !primary.is_primary() || other.crashed() || other.is_primary() ||
-      !other.ha_joined() || !primary.standby_in_sync() || primary.inflight_retry_count() != 0) {
-    return false;
-  }
-  EXPECT_EQ(other.inflight_retry_count(), 0u) << "the standby parks a request nobody retries";
-  EXPECT_EQ(other.ledger().outstanding_holds(), primary.ledger().outstanding_holds());
-  const std::vector<ReplRecord> mine = primary.Snapshot();
-  const std::vector<ReplRecord> shadow = other.Snapshot();
-  EXPECT_EQ(mine.size(), shadow.size());
-  for (size_t i = 0; i < std::min(mine.size(), shadow.size()); ++i) {
-    if (!(mine[i] == shadow[i])) {
-      ADD_FAILURE() << "snapshot record " << i << " differs: alternative " << mine[i].index()
-                    << " on the primary, " << shadow[i].index() << " on the standby";
-      break;
-    }
-  }
-  return true;
 }
 
 TEST(HaTest, KillPrimaryMidWorkloadKeepsAdmittedStreams) {

@@ -424,8 +424,13 @@ TEST(RebalanceTest, ChaosPrimaryFlipMidReplicationKeepsThePlan) {
   ASSERT_TRUE(RunUntil(cluster.sim(),
                        [&] { return cluster.coordinator().inflight_replication_count() == 1; },
                        SimTime::Seconds(5)));
-  // Synchronous log shipping: the standby's shadow already carries the op.
+  // Synchronous log shipping: the standby's shadow already carries the op,
+  // and its ledger both of the copy's holds.
   EXPECT_EQ(standby->inflight_replication_count(), 1u);
+  ASSERT_TRUE(RunUntil(cluster.sim(),
+                       [&] { return ExpectStandbyMirrorsPrimary(cluster.installation()); },
+                       SimTime::Seconds(2)));
+  ASSERT_EQ(cluster.coordinator().inflight_replication_count(), 1u);
 
   // Kill the primary mid-copy, jittered by the seed sweep.
   cluster.sim().RunFor(SimTime::Seconds(3) +
