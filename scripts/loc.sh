@@ -7,12 +7,13 @@
 #   scripts/loc.sh [paths...]
 #
 # Each path is a directory (its .h/.cc files, not recursive) or a single
-# file. With no paths it counts src/coord, src/msu and src/net/message.{h,cc}.
+# file. With no paths it counts the admission path: src/coord, src/place
+# (the ledger and placement half of it), src/msu and src/net/message.{h,cc}.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 if [[ $# -eq 0 ]]; then
-  set -- src/coord src/msu src/net/message.h src/net/message.cc
+  set -- src/coord src/place src/msu src/net/message.h src/net/message.cc
 fi
 
 count() {
