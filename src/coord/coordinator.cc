@@ -84,26 +84,21 @@ void Coordinator::PublishMetrics() {
   pull(".failover.recordings_lost", recordings_lost_);
   pull(".requests_lost", requests_lost_count_);
   pull(".requests.handled", requests_handled_);
-  gauge(".pending.depth", [this] { return static_cast<int64_t>(pending_.size()); });
-  gauge(".streams.active", [this] { return static_cast<int64_t>(active_streams_.size()); });
+  gauge(".pending.depth", [this] { return static_cast<int64_t>(state_.pending.size()); });
+  gauge(".streams.active", [this] { return static_cast<int64_t>(state_.active_streams.size()); });
   gauge(".msus.up", [this] {
-    int64_t up = 0;
-    for (const auto& [name, msu] : msus_) {
-      if (ledger_.IsUp(name)) {
-        ++up;
-      }
-    }
-    return up;
+    return static_cast<int64_t>(std::ranges::count_if(
+        state_.ledger.msus(), [](const auto& entry) { return entry.second.up; }));
   });
   if (params_.sharing.enabled) {
     pull(".groups.formed", groups_formed_);
     pull(".groups.members", groups_members_);
     pull(".groups.attaches", groups_attaches_);
     pull(".groups.splits", groups_splits_);
-    gauge(".groups.active", [this] { return static_cast<int64_t>(shared_groups_.size()); });
+    gauge(".groups.active", [this] { return static_cast<int64_t>(state_.shared_groups.size()); });
     gauge(".groups.hot_titles", [this] {
       int64_t hot = 0;
-      for (const auto& [title, ewma] : popularity_) {
+      for (const auto& [title, popularity] : popularity_) {
         if (IsHot(title)) {
           ++hot;
         }
@@ -128,7 +123,7 @@ void Coordinator::PublishMetrics() {
     pull(".rebalance.copies_aborted", rebalance_copies_aborted_);
     pull(".rebalance.preemptions", rebalance_preemptions_);
     pull(".rebalance.demotions", rebalance_demotions_);
-    gauge(".rebalance.active_copies", [this] { return static_cast<int64_t>(repl_ops_.size()); });
+    gauge(".rebalance.active_copies", [this] { return static_cast<int64_t>(state_.repl_ops.size()); });
   }
   if (params_.traffic.enabled) {
     for (int c = 0; c < kAdmissionClassCount; ++c) {
@@ -257,11 +252,11 @@ void Coordinator::Crash() {
   const bool state_survives =
       params_.ha.enabled && (role_ == HaRole::kStandby || peer_joined_);
   if (!state_survives) {
-    requests_lost_count_ += static_cast<int64_t>(pending_.size());
+    requests_lost_count_ += static_cast<int64_t>(state_.pending.size());
   }
   crashed_ = true;
   trace_.Instant(trace_track_, metrics_prefix_, "crash",
-                 std::to_string(active_streams_.size()) + " streams forgotten");
+                 std::to_string(state_.active_streams.size()) + " streams forgotten");
   node_->SetDown(true);
   ResetVolatileState();  // in-flight copies are orphaned; MSUs finish or abort alone
   expiry_token_.Cancel();
@@ -269,7 +264,6 @@ void Coordinator::Crash() {
   shed_active_ = false;
   rebalance_paused_ = false;
   popularity_.clear();
-  popularity_bumped_.clear();
   // HA volatile state dies with the process.
   repl_conn_ = nullptr;
   repl_in_conn_ = nullptr;
@@ -344,9 +338,9 @@ void Coordinator::OnConnClosed(TcpConn* conn) {
     return;  // a standby tracks no live MSU or client connections
   }
   // A broken MSU connection marks the MSU unavailable (§2.2 fault tolerance).
-  for (auto& [name, msu] : msus_) {
-    if (msu.conn == conn && ledger_.IsUp(name)) {
-      MarkMsuDown(msu);
+  for (const auto& [name, msu_conn] : msu_conns_) {
+    if (msu_conn == conn && state_.ledger.IsUp(name)) {
+      MarkMsuDown(name);
       return;
     }
   }
@@ -355,13 +349,14 @@ void Coordinator::OnConnClosed(TcpConn* conn) {
   if (it != conn_sessions_.end()) {
     const SessionId session = it->second;
     conn_sessions_.erase(it);
+    session_conns_.erase(session);
     Replicate(ReplRecord{ReplSessionClosed(session)});
   }
 }
 
 Result<Coordinator::SessionInfo*> Coordinator::FindSession(SessionId id) {
-  auto it = sessions_.find(id);
-  if (it == sessions_.end()) {
+  auto it = state_.sessions.find(id);
+  if (it == state_.sessions.end()) {
     return NotFoundError("no such session: " + std::to_string(id));
   }
   return &it->second;
@@ -375,12 +370,11 @@ Co<MessageBody> Coordinator::HandleOpenSession(TcpConn* conn, const OpenSessionR
   if (request.resume_session != 0) {
     // Failover redial: the session was replicated to us; rebind it to the
     // client's fresh connection instead of minting a new identity.
-    auto it = sessions_.find(request.resume_session);
-    if (it != sessions_.end() && it->second.customer == request.customer) {
-      if (it->second.conn != nullptr) {
-        conn_sessions_.erase(it->second.conn);
+    auto it = state_.sessions.find(request.resume_session);
+    if (it != state_.sessions.end() && it->second.customer == request.customer) {
+      if (TcpConn* old = std::exchange(session_conns_[it->second.id], conn); old != nullptr) {
+        conn_sessions_.erase(old);
       }
-      it->second.conn = conn;
       conn_sessions_[conn] = it->second.id;
       OpenSessionResponse resumed{true, "", it->second.id};
       resumed.epoch = wire_epoch();
@@ -393,7 +387,7 @@ Co<MessageBody> Coordinator::HandleOpenSession(TcpConn* conn, const OpenSessionR
   opened.customer = request.customer;
   opened.admin = (*customer)->admin;
   Replicate(ReplRecord{std::move(opened)});
-  sessions_[id].conn = conn;
+  session_conns_[id] = conn;
   conn_sessions_[conn] = id;
   OpenSessionResponse response{true, "", id};
   response.epoch = wire_epoch();
@@ -594,14 +588,14 @@ Co<Status> Coordinator::TryStartGroup(const PendingRequest& request) {
   if (!spec.ok()) {
     co_return spec.status();
   }
-  auto placement = policy_->Place(*spec, ledger_);
+  auto placement = policy_->Place(*spec, state_.ledger);
   if (!placement.ok() && placement.status().code() == StatusCode::kResourceExhausted &&
-      !repl_ops_.empty()) {
+      !state_.repl_ops.empty()) {
     // Live admissions outrank background copies (DESIGN §5.8): abort every
     // in-flight copy touching a candidate MSU, then re-run placement once
     // against the freed bandwidth.
     std::vector<int64_t> preempt;
-    for (const auto& [op_id, op] : repl_ops_) {
+    for (const auto& [op_id, op] : state_.repl_ops) {
       bool overlaps = spec->record;  // recordings may land on any MSU
       for (const ComponentSpec& component : spec->components) {
         for (const PlacementCandidate& candidate : component.candidates) {
@@ -619,7 +613,7 @@ Co<Status> Coordinator::TryStartGroup(const PendingRequest& request) {
         AbortReplication(op_id, "preempted by live admission");
       }
       rebalance_preemptions_ += static_cast<int64_t>(preempt.size());
-      placement = policy_->Place(*spec, ledger_);
+      placement = policy_->Place(*spec, state_.ledger);
     }
   }
   if (!placement.ok()) {
@@ -703,7 +697,7 @@ Co<Status> Coordinator::TryStartGroup(const PendingRequest& request) {
 }
 
 Co<Status> Coordinator::Launch(LaunchPlan plan) {
-  TcpConn* conn = msus_[plan.msu].conn;
+  TcpConn* conn = MsuConn(plan.msu);
   if (conn == nullptr) {
     // Up in the inherited ledger but not redialed since a takeover: wait in
     // the queue for its registration (or for the rejoin grace to expire).
@@ -718,7 +712,7 @@ Co<Status> Coordinator::Launch(LaunchPlan plan) {
   for (const ActiveStream& hold : plan.streams) {
     items.push_back(ResourceLedger::ReserveItem{hold.disk, hold.rate, hold.space, hold.cache});
   }
-  auto reservation = ledger_.Reserve(plan.msu, std::move(items));
+  auto reservation = state_.ledger.Reserve(plan.msu, std::move(items));
   if (!reservation.ok()) {
     co_return reservation.status();
   }
@@ -811,7 +805,7 @@ Co<MessageBody> Coordinator::HandlePlay(TcpConn* conn, const PlayRequest& reques
     // Coalesce with other requests for this title; the first waiter opens
     // the window and FlushShareBatch closes it after kShareBatchWindow. The
     // client's WaitForGroupReady tolerates the delay.
-    const bool first = !share_batches_.contains(pending.content);
+    const bool first = !state_.share_batches.contains(pending.content);
     Replicate(ReplRecord{ReplBatchJoined(pending)});
     if (first) {
       FlushShareBatch(pending.content);
@@ -859,16 +853,10 @@ bool Coordinator::SharingEligible(const PendingRequest& request) const {
 }
 
 void Coordinator::BumpPopularity(const std::string& content) {
-  const SimTime now = machine_->sim().Now();
-  double& ewma = popularity_[content];
-  auto bumped = popularity_bumped_.find(content);
-  if (bumped != popularity_bumped_.end() && params_.sharing.popularity_halflife > SimTime()) {
-    const double age =
-        (now - bumped->second).seconds() / params_.sharing.popularity_halflife.seconds();
-    ewma *= std::exp2(-age);
-  }
-  ewma += 1.0;
-  popularity_bumped_[content] = now;
+  const double ewma = DecayedPopularity(content) + 1.0;
+  Popularity& popularity = popularity_[content];
+  popularity.ewma = ewma;
+  popularity.bumped = machine_->sim().Now();
 }
 
 double Coordinator::DecayedPopularity(const std::string& content) const {
@@ -876,10 +864,9 @@ double Coordinator::DecayedPopularity(const std::string& content) const {
   if (it == popularity_.end()) {
     return 0.0;
   }
-  double value = it->second;
-  auto bumped = popularity_bumped_.find(content);
-  if (bumped != popularity_bumped_.end() && params_.sharing.popularity_halflife > SimTime()) {
-    const double age = (machine_->sim().Now() - bumped->second).seconds() /
+  double value = it->second.ewma;
+  if (params_.sharing.popularity_halflife > SimTime()) {
+    const double age = (machine_->sim().Now() - it->second.bumped).seconds() /
                        params_.sharing.popularity_halflife.seconds();
     value *= std::exp2(-age);
   }
@@ -892,8 +879,8 @@ bool Coordinator::IsHot(const std::string& content) const {
 
 const Coordinator::SharedGroup* Coordinator::FindAttachTarget(const std::string& content) const {
   const SimTime now = machine_->sim().Now();
-  for (const auto& [id, group] : shared_groups_) {
-    if (group.content != content || group.member_count <= 0 || !ledger_.IsUp(group.msu)) {
+  for (const auto& [id, group] : state_.shared_groups) {
+    if (group.content != content || group.member_count <= 0 || !state_.ledger.IsUp(group.msu)) {
       continue;
     }
     if (now - group.started_at <= kCacheHorizon) {
@@ -961,8 +948,8 @@ Task Coordinator::FlushShareBatch(std::string content) {
   if (crashed_ || !is_primary()) {
     co_return;  // the crash dropped the batch; a standby's shadow waits for takeover
   }
-  auto it = share_batches_.find(content);
-  if (it == share_batches_.end()) {
+  auto it = state_.share_batches.find(content);
+  if (it == state_.share_batches.end()) {
     co_return;
   }
   std::vector<PendingRequest> waiters = it->second;
@@ -995,7 +982,7 @@ Co<void> Coordinator::StartSharedGroup(std::string content,
   }
   Result<Placement> placement = spec.status();
   if (spec.ok()) {
-    placement = policy_->Place(*spec, ledger_);
+    placement = policy_->Place(*spec, state_.ledger);
   }
   Status started = placement.status();
   if (placement.ok()) {
@@ -1014,7 +1001,7 @@ Co<void> Coordinator::StartSharedGroup(std::string content,
     stream.fast_backward_file = (*record)->fast_backward_file;
     stream.pin_prefix = IsHot(content);
     // The delivery stream holds the disk bandwidth. Its group deliberately
-    // has no group_requests_ entry: if the MSU dies, MarkMsuDown releases
+    // has no state_.group_requests entry: if the MSU dies, MarkMsuDown releases
     // the hold and drops it silently while each member fails over on its own.
     ActiveStream delivery;
     delivery.msu = plan.msu;
@@ -1042,11 +1029,10 @@ Co<void> Coordinator::StartSharedGroup(std::string content,
     shared.member_count = static_cast<int>(live.size());
     plan.requests = live;
     started = co_await Launch(std::move(plan));
-    if (started.code() == StatusCode::kResourceExhausted &&
-        msus_[placement->msu].conn == nullptr) {
+    if (started.code() == StatusCode::kResourceExhausted && MsuConn(placement->msu) == nullptr) {
       // Up in the inherited ledger but not redialed since a takeover: reopen
       // the batch for another window rather than split the group up.
-      const bool reopen = !share_batches_.contains(content);
+      const bool reopen = !state_.share_batches.contains(content);
       for (const PendingRequest& request : live) {
         Replicate(ReplRecord{ReplBatchJoined(request)});
       }
@@ -1080,7 +1066,7 @@ Co<void> Coordinator::StartSharedGroup(std::string content,
 }
 
 Co<MessageBody> Coordinator::HandleSharedMemberSplit(const SharedMemberSplit& split) {
-  const bool member_live = active_streams_.contains(split.member_stream);
+  const bool member_live = state_.active_streams.contains(split.member_stream);
   Replicate(ReplRecord{split});
   if (!member_live) {
     // Failover raced the split message, or this is the MSU's repeat of a
@@ -1095,9 +1081,9 @@ Co<MessageBody> Coordinator::HandleSharedMemberSplit(const SharedMemberSplit& sp
   // Re-admit the member as the solo stream the split record parked. FF/FB
   // split at the current offset and the client re-issues the scan against
   // its now-solo stream.
-  auto parked = std::find_if(repl_in_flight_.begin(), repl_in_flight_.end(),
+  auto parked = std::find_if(state_.repl_in_flight.begin(), state_.repl_in_flight.end(),
                              [&](const PendingRequest& r) { return r.group == split.group; });
-  if (parked == repl_in_flight_.end()) {
+  if (parked == state_.repl_in_flight.end()) {
     co_return MessageBody{SimpleResponse{true, ""}};
   }
   PendingRequest resume = *parked;
@@ -1126,7 +1112,7 @@ Task Coordinator::RebalanceLoop() {
       continue;  // the standby mirrors in-flight ops but never plans
     }
     ++rebalance_ticks_;
-    const int slots = kMaxConcurrentCopies - static_cast<int>(repl_ops_.size());
+    const int slots = kMaxConcurrentCopies - static_cast<int>(state_.repl_ops.size());
     RebalancePlan plan = PlanRebalance(BuildRebalanceSnapshot(), params_.rebalance, slots);
     for (const DemoteAction& demote : plan.demotes) {
       if (crashed_ || !is_primary()) {
@@ -1150,7 +1136,7 @@ RebalanceSnapshot Coordinator::BuildRebalanceSnapshot() const {
   // While the shed governor is active, the plan may still demote cold
   // replicas (frees space for free) but must not start new copies.
   snapshot.allow_copies = !rebalance_paused_;
-  for (const auto& [name, account] : ledger_.msus()) {
+  for (const auto& [name, account] : state_.ledger.msus()) {
     MsuView view;
     view.node = name;
     view.up = account.up;
@@ -1172,7 +1158,7 @@ RebalanceSnapshot Coordinator::BuildRebalanceSnapshot() const {
     TitleView title;
     title.name = record->name;
     title.popularity = DecayedPopularity(record->name);
-    for (const PendingRequest& request : pending_) {
+    for (const PendingRequest& request : state_.pending) {
       if (!request.record && request.content == record->name) {
         ++title.pending;
       }
@@ -1187,14 +1173,14 @@ RebalanceSnapshot Coordinator::BuildRebalanceSnapshot() const {
       replica.disk = location.disk;
       replica.file = location.file_name.empty() ? record->file_name : location.file_name;
       replica.dynamic = location.dynamic;
-      for (const auto& [id, active] : active_streams_) {
+      for (const auto& [id, active] : state_.active_streams) {
         if (active.content_item == record->name && active.msu == location.msu_node) {
           ++replica.active_streams;
         }
       }
       title.replicas.push_back(std::move(replica));
     }
-    for (const auto& [op_id, op] : repl_ops_) {
+    for (const auto& [op_id, op] : state_.repl_ops) {
       if (op.content == record->name) {
         title.inflight_targets.push_back(op.target_msu);
       }
@@ -1205,9 +1191,8 @@ RebalanceSnapshot Coordinator::BuildRebalanceSnapshot() const {
 }
 
 Co<void> Coordinator::StartReplication(CopyAction action) {
-  auto source_it = msus_.find(action.source_msu);
-  if (source_it == msus_.end() || source_it->second.conn == nullptr ||
-      !ledger_.IsUp(action.source_msu)) {
+  TcpConn* source = MsuConn(action.source_msu);
+  if (source == nullptr || !state_.ledger.IsUp(action.source_msu)) {
     co_return;
   }
   const int64_t op_id = next_repl_op_++;
@@ -1221,7 +1206,7 @@ Co<void> Coordinator::StartReplication(CopyAction action) {
   prepare.file = action.source_file;
   prepare.rate = rate;
   prepare.epoch = wire_epoch();
-  auto prepared = co_await source_it->second.conn->Call(MessageBody{std::move(prepare)});
+  auto prepared = co_await source->Call(MessageBody{std::move(prepare)});
   const auto* prep =
       prepared.ok() ? std::get_if<MsuPrepareCopyResponse>(&prepared->body) : nullptr;
   if (prep == nullptr || !prep->ok) {
@@ -1256,11 +1241,10 @@ Co<void> Coordinator::StartReplication(CopyAction action) {
   begin.estimated_size = op.space;
   begin.disk_hint = op.target_disk;
   begin.epoch = wire_epoch();
-  auto target_it = msus_.find(action.target_msu);
+  TcpConn* target = MsuConn(action.target_msu);
   Result<Envelope> began = UnavailableError("target msu went down");
-  if (target_it != msus_.end() && target_it->second.conn != nullptr &&
-      ledger_.IsUp(action.target_msu)) {
-    began = co_await target_it->second.conn->Call(MessageBody{std::move(begin)});
+  if (target != nullptr && state_.ledger.IsUp(action.target_msu)) {
+    began = co_await target->Call(MessageBody{std::move(begin)});
   }
   const auto* ack = began.ok() ? std::get_if<SimpleResponse>(&began->body) : nullptr;
   if (crashed_ || !is_primary() || ack == nullptr || !ack->ok) {
@@ -1286,7 +1270,7 @@ Co<void> Coordinator::ExecuteDemotion(DemoteAction action) {
   }
   // Re-validate against live state (the plan came from a snapshot): the
   // replica must still be dynamic and idle.
-  for (const auto& [id, active] : active_streams_) {
+  for (const auto& [id, active] : state_.active_streams) {
     if (active.content_item == action.content && active.msu == action.msu) {
       co_return;
     }
@@ -1313,7 +1297,7 @@ Co<void> Coordinator::ExecuteDemotion(DemoteAction action) {
 
 void Coordinator::HandleReplicaInstalled(const ReplicaInstalled& note) {
   auto record = catalog_->FindContent(note.content);
-  if (repl_ops_.contains(note.op)) {
+  if (state_.repl_ops.contains(note.op)) {
     // An unknown op holds nothing: its holds live and die with its entry. A
     // replica of a since-deleted title is orphaned, so its space comes back.
     Replicate(ReplRecord{ReplReplicationEnded(note.op, /*installed=*/record.ok())});
@@ -1345,7 +1329,7 @@ void Coordinator::HandleReplicaInstalled(const ReplicaInstalled& note) {
 }
 
 void Coordinator::HandleReplicaCopyFailed(const ReplicaCopyFailed& note) {
-  if (!repl_ops_.contains(note.op)) {
+  if (!state_.repl_ops.contains(note.op)) {
     return;  // already aborted, or an orphan of a previous incarnation
   }
   CALLIOPE_LOG(kInfo, "coord") << "replica copy op " << note.op << " failed on "
@@ -1354,8 +1338,8 @@ void Coordinator::HandleReplicaCopyFailed(const ReplicaCopyFailed& note) {
 }
 
 void Coordinator::AbortReplication(int64_t op_id, const std::string& reason) {
-  auto it = repl_ops_.find(op_id);
-  if (it == repl_ops_.end()) {
+  auto it = state_.repl_ops.find(op_id);
+  if (it == state_.repl_ops.end()) {
     return;
   }
   const ReplOp op = it->second;
@@ -1368,31 +1352,31 @@ void Coordinator::AbortReplication(int64_t op_id, const std::string& reason) {
 }
 
 Task Coordinator::SendAbortCopy(std::string msu_node, int64_t op_id) {
-  auto it = msus_.find(msu_node);
-  if (crashed_ || it == msus_.end() || it->second.conn == nullptr || !ledger_.IsUp(msu_node)) {
+  TcpConn* conn = MsuConn(msu_node);
+  if (crashed_ || conn == nullptr || !state_.ledger.IsUp(msu_node)) {
     co_return;
   }
   MsuAbortCopy abort;
   abort.op = op_id;
   abort.epoch = wire_epoch();
-  auto response = co_await it->second.conn->Call(MessageBody{std::move(abort)});
+  auto response = co_await conn->Call(MessageBody{std::move(abort)});
   (void)response;
 }
 
 Task Coordinator::SendDeleteFile(std::string msu_node, std::string file) {
-  auto it = msus_.find(msu_node);
-  if (crashed_ || it == msus_.end() || it->second.conn == nullptr || !ledger_.IsUp(msu_node)) {
+  TcpConn* conn = MsuConn(msu_node);
+  if (crashed_ || conn == nullptr || !state_.ledger.IsUp(msu_node)) {
     co_return;
   }
   MsuDeleteFile erase_file{std::move(file)};
   erase_file.epoch = wire_epoch();
-  auto response = co_await it->second.conn->Call(MessageBody{std::move(erase_file)});
+  auto response = co_await conn->Call(MessageBody{std::move(erase_file)});
   (void)response;
 }
 
 void Coordinator::AbortReplicationsTouching(const std::string& msu_node) {
   std::vector<int64_t> doomed;
-  for (const auto& [op_id, op] : repl_ops_) {
+  for (const auto& [op_id, op] : state_.repl_ops) {
     if (op.source_msu == msu_node || op.target_msu == msu_node) {
       doomed.push_back(op_id);
     }
@@ -1463,7 +1447,7 @@ Co<MessageBody> Coordinator::HandleDelete(TcpConn* conn, const DeleteContentRequ
   const bool composite = (*record)->is_composite();
   std::vector<std::string> items =
       composite ? (*record)->component_items : std::vector<std::string>{(*record)->name};
-  for (const auto& [id, active] : active_streams_) {
+  for (const auto& [id, active] : state_.active_streams) {
     for (const auto& item : items) {
       if (active.content_item == item) {
         co_return MessageBody{SimpleResponse{false, "content is in use"}};
@@ -1473,7 +1457,7 @@ Co<MessageBody> Coordinator::HandleDelete(TcpConn* conn, const DeleteContentRequ
   for (const std::string& item_name : items) {
     // Copies of the doomed title still in flight are pointless now.
     std::vector<int64_t> doomed;
-    for (const auto& [op_id, op] : repl_ops_) {
+    for (const auto& [op_id, op] : state_.repl_ops) {
       if (op.content == item_name) {
         doomed.push_back(op_id);
       }
@@ -1486,9 +1470,8 @@ Co<MessageBody> Coordinator::HandleDelete(TcpConn* conn, const DeleteContentRequ
       continue;
     }
     for (const ContentLocation& location : (*item)->locations) {
-      auto msu_it = msus_.find(location.msu_node);
-      if (msu_it == msus_.end() || !ledger_.IsUp(location.msu_node) ||
-          msu_it->second.conn == nullptr) {
+      TcpConn* msu_conn = MsuConn(location.msu_node);
+      if (msu_conn == nullptr || !state_.ledger.IsUp(location.msu_node)) {
         continue;
       }
       for (const std::string& file :
@@ -1496,7 +1479,7 @@ Co<MessageBody> Coordinator::HandleDelete(TcpConn* conn, const DeleteContentRequ
         if (!file.empty()) {
           MsuDeleteFile erase_file{file};
           erase_file.epoch = wire_epoch();
-          co_await msu_it->second.conn->Call(MessageBody{std::move(erase_file)});
+          co_await msu_conn->Call(MessageBody{std::move(erase_file)});
         }
       }
     }
@@ -1530,17 +1513,15 @@ Co<MessageBody> Coordinator::HandleLoadFastScan(TcpConn* conn,
 Co<MessageBody> Coordinator::HandleMsuRegister(TcpConn* conn, const MsuRegisterRequest& request) {
   // Warm registration: the MSU never stopped serving, only its control
   // connection moved (Coordinator failover) — keep the account and holds.
-  const MsuAccount* known = ledger_.Find(request.msu_node);
+  const MsuAccount* known = state_.ledger.Find(request.msu_node);
   const bool warm =
       request.warm && known != nullptr && known->disk_count == request.disk_count;
-  MsuInfo& msu = msus_[request.msu_node];
-  msu.node = request.msu_node;
   if (!warm && known != nullptr) {
     // Cold re-registration of a known MSU: whatever it was serving died with
     // it. Tear its groups down (failover) before resetting the account.
     bool busy = known->up;
     if (!busy) {
-      for (const auto& [id, active] : active_streams_) {
+      for (const auto& [id, active] : state_.active_streams) {
         if (active.msu == request.msu_node) {
           busy = true;
           break;
@@ -1548,8 +1529,7 @@ Co<MessageBody> Coordinator::HandleMsuRegister(TcpConn* conn, const MsuRegisterR
       }
     }
     if (busy) {
-      msu.conn = nullptr;  // MarkMsuDown must not break the fresh connection
-      MarkMsuDown(msu);
+      MarkMsuDown(request.msu_node);
     }
   }
   ReplMsuUp up;
@@ -1560,7 +1540,7 @@ Co<MessageBody> Coordinator::HandleMsuRegister(TcpConn* conn, const MsuRegisterR
   up.cache_memory = request.cache_memory;
   up.reattach = warm;
   Replicate(ReplRecord{std::move(up)});
-  msu.conn = conn;
+  msu_conns_[request.msu_node] = conn;
   MsuRegisterResponse ack{true, ""};
   ack.epoch = wire_epoch();
   if (params_.ha.enabled) {
@@ -1569,7 +1549,7 @@ Co<MessageBody> Coordinator::HandleMsuRegister(TcpConn* conn, const MsuRegisterR
     // single Coordinator without a standby keeps the historical behavior:
     // orphaned streams play out on their own.)
     for (StreamId id : request.active_streams) {
-      if (!active_streams_.contains(id)) {
+      if (!state_.active_streams.contains(id)) {
         ack.stale_streams.push_back(id);
       }
     }
@@ -1580,11 +1560,11 @@ Co<MessageBody> Coordinator::HandleMsuRegister(TcpConn* conn, const MsuRegisterR
   for (int d = 0; d < request.disk_count; ++d) {
     metrics_.SetGaugeCallback(prefix + "disk" + std::to_string(d) + ".reserved_kbps",
                               [this, node = request.msu_node, d] {
-                                return ledger_.DiskLoad(node, d).bits_per_sec() / 1000;
+                                return state_.ledger.DiskLoad(node, d).bits_per_sec() / 1000;
                               });
   }
   metrics_.SetGaugeCallback(prefix + "free_mib", [this, node = request.msu_node] {
-    return ledger_.FreeSpace(node).count() / (1024 * 1024);
+    return state_.ledger.FreeSpace(node).count() / (1024 * 1024);
   });
   trace_.Instant(trace_track_, metrics_prefix_, "msu-register",
                  request.msu_node + (warm ? " (warm)" : ""));
@@ -1593,8 +1573,8 @@ Co<MessageBody> Coordinator::HandleMsuRegister(TcpConn* conn, const MsuRegisterR
 }
 
 void Coordinator::HandleStreamTerminated(const StreamTerminated& note) {
-  auto it = active_streams_.find(note.stream);
-  if (it == active_streams_.end()) {
+  auto it = state_.active_streams.find(note.stream);
+  if (it == state_.active_streams.end()) {
     return;
   }
   const ActiveStream active = it->second;
@@ -1616,8 +1596,8 @@ void Coordinator::HandleStreamTerminated(const StreamTerminated& note) {
     (void)catalog_->RemoveContent(active.content_item);
   }
 
-  auto group_it = groups_.find(active.group);
-  if (group_it != groups_.end()) {
+  auto group_it = state_.groups.find(active.group);
+  if (group_it != state_.groups.end()) {
     if (group_it->second.empty()) {
       Replicate(ReplRecord{ReplGroupEnded(active.group)});
       if (active.recording) {
@@ -1650,7 +1630,7 @@ void Coordinator::HandleStreamTerminated(const StreamTerminated& note) {
 void Coordinator::HandleProgressReport(const StreamProgressReport& report) {
   ReplProgress progress;
   for (const StreamProgressReport::Entry& entry : report.entries) {
-    if (active_streams_.contains(entry.stream)) {
+    if (state_.active_streams.contains(entry.stream)) {
       progress.entries.push_back(ReplProgress::Entry{entry.stream, entry.media_offset});
     }
   }
@@ -1660,39 +1640,39 @@ void Coordinator::HandleProgressReport(const StreamProgressReport& report) {
   }
 }
 
-void Coordinator::MarkMsuDown(MsuInfo& msu) {
-  msu.conn = nullptr;
+void Coordinator::MarkMsuDown(std::string node) {
+  msu_conns_.erase(node);
   // Shared delivery groups on this MSU die with it; the cached pages and the
   // fan-out state lived in the dead process. Members keep their own
-  // ActiveStream/group_requests_ entries, so the loop below resumes each as a
+  // ActiveStream/state_.group_requests entries, so the loop below resumes each as a
   // unique stream; the delivery stream's group has no request and is dropped
   // silently once its hold is released.
-  Replicate(ReplRecord{ReplMsuDown(msu.node)});
-  trace_.Instant(trace_track_, metrics_prefix_, "msu-down", msu.node);
+  Replicate(ReplRecord{ReplMsuDown(node)});
+  trace_.Instant(trace_track_, metrics_prefix_, "msu-down", node);
 
   // In-flight background copies reading from or writing to the dead MSU die
   // with it; the surviving end is told to stop and the holds are refunded.
-  AbortReplicationsTouching(msu.node);
+  AbortReplicationsTouching(node);
 
   // Partition the failed MSU's streams by group (every member of a group
   // lives on one MSU, so a group is lost whole or not at all).
   std::map<GroupId, std::vector<StreamId>> lost;
-  for (const auto& [id, active] : active_streams_) {
-    if (active.msu == msu.node) {
+  for (const auto& [id, active] : state_.active_streams) {
+    if (active.msu == node) {
       lost[active.group].push_back(id);
     }
   }
   for (const auto& [group, members] : lost) {
     bool recording = false;
     PendingRequest resume;
-    auto request_it = group_requests_.find(group);
-    const bool have_request = request_it != group_requests_.end();
+    auto request_it = state_.group_requests.find(group);
+    const bool have_request = request_it != state_.group_requests.end();
     if (have_request) {
       resume = request_it->second;
       resume.start_offsets.assign(members.size(), SimTime());
     }
     for (StreamId id : members) {
-      const ActiveStream active = active_streams_.at(id);
+      const ActiveStream active = state_.active_streams.at(id);
       recording = recording || active.recording;
       if (have_request && static_cast<size_t>(active.component) < resume.start_offsets.size()) {
         resume.start_offsets[static_cast<size_t>(active.component)] = active.offset;
@@ -1714,7 +1694,7 @@ void Coordinator::MarkMsuDown(MsuInfo& msu) {
       }
       ++recordings_lost_;
       CALLIOPE_LOG(kWarning, "coord")
-          << "MSU " << msu.node << " failed; recording group " << group << " lost";
+          << "MSU " << node << " failed; recording group " << group << " lost";
       if (have_request) {
         NotifyRequestFailed(resume, UnavailableError("MSU failed during recording"));
       }
@@ -1777,24 +1757,25 @@ void Coordinator::DropRequest(PendingRequest request, const Status& error) {
 }
 
 Task Coordinator::NotifyRequestFailed(PendingRequest request, Status error) {
-  auto session = FindSession(request.session);
-  if (!session.ok() || (*session)->conn == nullptr) {
+  auto bound = session_conns_.find(request.session);
+  if (bound == session_conns_.end()) {
     co_return;
   }
+  TcpConn* conn = bound->second;
   PendingRequestFailed failed{request.group, error.ToString()};
   failed.epoch = wire_epoch();
   Envelope envelope;
   envelope.body = MessageBody{std::move(failed)};
-  const Status sent = co_await (*session)->conn->Send(std::move(envelope));
+  const Status sent = co_await conn->Send(std::move(envelope));
   (void)sent;
 }
 
 Task Coordinator::RetryPendingQueue() {
-  if (retry_scheduled_ || pending_.empty()) {
+  if (retry_scheduled_ || state_.pending.empty()) {
     co_return;
   }
   // Hold the guard for the whole pass: triggers landing mid-pass are covered
-  // because the loop re-reads pending_, which may grow meanwhile.
+  // because the loop re-reads state_.pending, which may grow meanwhile.
   retry_scheduled_ = true;
   co_await machine_->sim().Yield();  // run after the triggering event settles
   if (params_.traffic.enabled) {
@@ -1803,12 +1784,12 @@ Task Coordinator::RetryPendingQueue() {
     Replicate(ReplRecord{ReplPendingReordered()});
   }
   std::vector<PendingRequest> still_waiting;
-  while (!pending_.empty()) {
+  while (!state_.pending.empty()) {
     if (crashed_ || !is_primary()) {
       retry_scheduled_ = false;
       co_return;  // the queue is no longer ours to pop
     }
-    PendingRequest request = pending_.front();
+    PendingRequest request = state_.pending.front();
     if (!FindSession(request.session).ok()) {
       // The client went away while queued: the request is gone for good.
       DropRequest(std::move(request), UnavailableError("session closed"));
@@ -1898,7 +1879,7 @@ int Coordinator::QueueCapFor(AdmissionClass klass) const {
 
 size_t Coordinator::pending_count_for(AdmissionClass klass) const {
   size_t count = 0;
-  for (const PendingRequest& request : pending_) {
+  for (const PendingRequest& request : state_.pending) {
     if (request.admission_class == klass) {
       ++count;
     }
@@ -1909,7 +1890,7 @@ size_t Coordinator::pending_count_for(AdmissionClass klass) const {
 void Coordinator::ScheduleExpirySweep() {
   SimTime earliest;
   bool any = false;
-  for (const PendingRequest& request : pending_) {
+  for (const PendingRequest& request : state_.pending) {
     const SimTime deadline = QueueDeadlineFor(request.admission_class);
     if (request.enqueued_at == SimTime() || !(deadline > SimTime())) {
       continue;  // no stamp (replicated legacy state) or deadline disabled
@@ -1941,7 +1922,7 @@ void Coordinator::RunExpirySweep() {
   }
   const SimTime now = machine_->sim().Now();
   std::vector<PendingRequest> expired;
-  for (const PendingRequest& request : pending_) {
+  for (const PendingRequest& request : state_.pending) {
     const SimTime deadline = QueueDeadlineFor(request.admission_class);
     if (request.enqueued_at != SimTime() && deadline > SimTime() &&
         now >= request.enqueued_at + deadline) {
@@ -1994,7 +1975,7 @@ Task Coordinator::ShedGovernorLoop() {
       rebalance_paused_ = true;
       ++shed_rebalance_paused_;
       std::vector<int64_t> inflight;
-      for (const auto& [op_id, op] : repl_ops_) {
+      for (const auto& [op_id, op] : state_.repl_ops) {
         inflight.push_back(op_id);
       }
       for (int64_t op_id : inflight) {
@@ -2009,13 +1990,13 @@ Task Coordinator::ShedGovernorLoop() {
     int budget = kShedPerTick;
     for (AdmissionClass klass : {AdmissionClass::kBulk, AdmissionClass::kStandard}) {
       while (budget > 0) {
-        auto victim = pending_.end();
-        for (auto it = pending_.begin(); it != pending_.end(); ++it) {
+        auto victim = state_.pending.end();
+        for (auto it = state_.pending.begin(); it != state_.pending.end(); ++it) {
           if (it->admission_class == klass) {
             victim = it;  // the last match is the newest arrival
           }
         }
-        if (victim == pending_.end()) {
+        if (victim == state_.pending.end()) {
           break;
         }
         // Parked like a retry while ShedRequest tries the cache attach.
@@ -2059,14 +2040,19 @@ Co<void> Coordinator::ShedRequest(PendingRequest request) {
   DropRequest(std::move(request), UnavailableError("shed under overload"));
 }
 
-bool Coordinator::MsuUp(const std::string& node) const { return ledger_.IsUp(node); }
+bool Coordinator::MsuUp(const std::string& node) const { return state_.ledger.IsUp(node); }
+
+TcpConn* Coordinator::MsuConn(const std::string& node) const {
+  auto it = msu_conns_.find(node);
+  return it == msu_conns_.end() ? nullptr : it->second;
+}
 
 DataRate Coordinator::DiskLoad(const std::string& msu, int disk) const {
-  return ledger_.DiskLoad(msu, disk);
+  return state_.ledger.DiskLoad(msu, disk);
 }
 
 Bytes Coordinator::MsuFreeSpace(const std::string& msu) const {
-  return ledger_.FreeSpace(msu);
+  return state_.ledger.FreeSpace(msu);
 }
 
 }  // namespace calliope

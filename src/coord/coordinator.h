@@ -11,10 +11,12 @@
 //
 // With HaConfig.enabled two Coordinators form a warm-standby pair: the
 // primary ships an operation log to the standby (see replication.h), and an
-// epoch-fenced lease protocol governs takeover. Every change to replicated
-// state is one oplog record that Apply writes — the primary through
-// Replicate, the standby on receipt — so the two copies cannot drift. HA
-// member functions are defined in replication.cc.
+// epoch-fenced lease protocol governs takeover. The replicated state is one
+// ReplicatedState value, and every change to it is one oplog record that
+// Apply writes — the primary through Replicate, the standby on receipt — so
+// the two copies cannot drift, and a test can check that they did not by
+// comparing the two values. HA member functions are defined in
+// replication.cc.
 #ifndef CALLIOPE_SRC_COORD_COORDINATOR_H_
 #define CALLIOPE_SRC_COORD_COORDINATOR_H_
 
@@ -142,16 +144,16 @@ class Coordinator {
 
   // ---- introspection for tests, benches and examples ----
   bool MsuUp(const std::string& node) const;
-  size_t msu_count() const { return msus_.size(); }
-  size_t active_stream_count() const { return active_streams_.size(); }
-  size_t pending_request_count() const { return pending_.size(); }
+  size_t msu_count() const { return state_.ledger.msus().size(); }
+  size_t active_stream_count() const { return state_.active_streams.size(); }
+  size_t pending_request_count() const { return state_.pending.size(); }
   int64_t requests_handled() const { return requests_handled_; }
   DataRate DiskLoad(const std::string& msu, int disk) const;
   Bytes MsuFreeSpace(const std::string& msu) const;
-  const ResourceLedger& ledger() const { return ledger_; }
+  const ResourceLedger& ledger() const { return state_.ledger; }
   const char* placement_policy_name() const { return policy_->name(); }
   // Background copies currently in flight (rebalancing, DESIGN §5.8).
-  size_t inflight_replication_count() const { return repl_ops_.size(); }
+  size_t inflight_replication_count() const { return state_.repl_ops.size(); }
 
   // ---- HA introspection ----
   bool is_primary() const { return !params_.ha.enabled || role_ == HaRole::kPrimary; }
@@ -169,9 +171,9 @@ class Coordinator {
   // Requests being launched (retries, shared-batch waiters, split members,
   // shed requests trying a cache attach) whose outcome record has not been
   // applied.
-  size_t inflight_retry_count() const { return repl_in_flight_.size(); }
+  size_t inflight_retry_count() const { return state_.repl_in_flight.size(); }
   // The replicated state as oplog records: the full install a joining
-  // standby receives. Equal on a primary and its in-sync standby.
+  // standby receives.
   std::vector<ReplRecord> Snapshot() const;
 
   // ---- traffic control (DESIGN §5.9) ----
@@ -185,21 +187,21 @@ class Coordinator {
   // Queued requests currently waiting in `klass`.
   size_t pending_count_for(AdmissionClass klass) const;
 
- private:
-  // Connection bookkeeping only; capacity and load live in the ledger.
-  struct MsuInfo {
-    MsuInfo() = default;
-
-    std::string node;
-    TcpConn* conn = nullptr;
-  };
-
+  // ---- the replicated state (DESIGN §5.4) ----
   // The wire structs double as the in-memory bookkeeping so the oplog can
   // ship them verbatim (field sets are identical by construction).
   using DisplayPort = DisplayPortSpec;
   using PendingRequest = PendingPlayRequest;
   // One admitted stream with its ledger hold's terms.
   using ActiveStream = ReplStreamStarted;
+  // One live shared delivery group, keyed by its delivery stream id. Members
+  // are ordinary ActiveStream entries (their kNoDisk ledger holds charge
+  // NIC + cache memory only), so progress reports and failover reuse the
+  // unique-stream machinery; this record exists for attach decisions and the
+  // groups gauge.
+  using SharedGroup = ReplSharedGroupFormed;
+  // One in-flight background copy (DESIGN §5.8).
+  using ReplOp = ReplReplicationStarted;
 
   struct SessionInfo {
     SessionInfo() = default;
@@ -207,10 +209,41 @@ class Coordinator {
     SessionId id = 0;
     std::string customer;
     bool admin = false;
-    TcpConn* conn = nullptr;
     std::map<std::string, DisplayPort> ports;
+
+    bool operator==(const SessionInfo&) const = default;
   };
 
+  // Everything Apply writes, and nothing else. Connection bindings are not
+  // in it: the primary binds live connections and the standby has none.
+  struct ReplicatedState {
+    ReplicatedState() = default;
+
+    std::map<SessionId, SessionInfo> sessions;
+    std::map<StreamId, ActiveStream> active_streams;
+    std::map<GroupId, std::vector<StreamId>> groups;
+    // The request that started each live group, kept so a failed MSU's
+    // groups can be re-placed; erased when the group ends normally.
+    std::map<GroupId, PendingRequest> group_requests;
+    std::deque<PendingRequest> pending;
+    // Requests being launched whose outcome has not been logged yet:
+    // retries, flushed shared-batch waiters, split members' re-admissions
+    // and shed requests trying a cache attach. Re-queued on takeover
+    // (zero-amnesia for a crash mid-launch).
+    std::vector<PendingRequest> repl_in_flight;
+    // Stream sharing (empty unless SharingConfig::enabled).
+    std::map<StreamId, SharedGroup> shared_groups;
+    std::map<std::string, std::vector<PendingRequest>> share_batches;  // title -> open batch
+    // Background copies in flight (empty unless RebalanceConfig::enabled).
+    std::map<int64_t, ReplOp> repl_ops;
+    ResourceLedger ledger;
+
+    bool operator==(const ReplicatedState&) const = default;
+  };
+  // Equal on a primary and its in-sync standby.
+  const ReplicatedState& replicated_state() const { return state_; }
+
+ private:
   // ---- wiring ----
   // Publishes every tally by pull; a feature's family only when it is on.
   void PublishMetrics();
@@ -232,20 +265,17 @@ class Coordinator {
   Co<MessageBody> HandleMsuRegister(TcpConn* conn, const MsuRegisterRequest& request);
   void HandleStreamTerminated(const StreamTerminated& note);
   void HandleProgressReport(const StreamProgressReport& report);
-  void MarkMsuDown(MsuInfo& msu);
+  // Takes `node` by value: callers may pass a key of msu_conns_, which it
+  // erases.
+  void MarkMsuDown(std::string node);
+  // The MSU's live control connection, or nullptr (none on a standby).
+  TcpConn* MsuConn(const std::string& node) const;
 
   // ---- stream sharing (DESIGN §5.6) ----
-  // One live shared delivery group, keyed by its delivery stream id. Members
-  // are ordinary ActiveStream entries (their kNoDisk ledger holds charge
-  // NIC + cache memory only), so progress reports and failover reuse the
-  // unique-stream machinery; this record exists for attach decisions and the
-  // groups gauge.
-  using SharedGroup = ReplSharedGroupFormed;
-
   // True when `request` can ride a shared delivery group: sharing on, a
   // non-composite playback of an existing, fully-recorded title.
   bool SharingEligible(const PendingRequest& request) const;
-  // Decays and bumps the title's popularity EWMA (a request arrived).
+  // Bumps the title's decayed popularity EWMA by one (a request arrived).
   void BumpPopularity(const std::string& content);
   bool IsHot(const std::string& content) const;
   // Live shared group on an up MSU whose playback position trails within the
@@ -266,10 +296,6 @@ class Coordinator {
   Co<MessageBody> HandleSharedMemberSplit(const SharedMemberSplit& split);
 
   // ---- background rebalancing (DESIGN §5.8) ----
-  // One in-flight background copy, mirrored on the HA standby through
-  // ReplReplicationStarted/Ended records so takeover keeps the plan.
-  using ReplOp = ReplReplicationStarted;
-
   // Periodic planner tick: snapshot → PlanRebalance → execute. Runs on every
   // coordinator with rebalancing enabled but only acts while primary.
   Task RebalanceLoop();
@@ -398,8 +424,9 @@ class Coordinator {
   // the reservation a ReplStreamStarted commits; without it the item is
   // reserved afresh.
   void Apply(const ReplRecord& record, ResourceLedger::Txn* txn = nullptr);
-  // Clears all replicated scheduling state (not the catalog, not counters);
-  // the one reset Crash, StepDown and a snapshot install share.
+  // Drops the replicated state and every connection binding (not the
+  // catalog, not counters); the one reset Crash, StepDown and a snapshot
+  // install share.
   void ResetVolatileState();
   // Removes `group`'s parked request from the in-flight list (its outcome
   // record arrived).
@@ -413,30 +440,28 @@ class Coordinator {
   NetNode* node_;
   CoordinatorParams params_;
   std::shared_ptr<Catalog> catalog_;
-  ResourceLedger ledger_;
   std::unique_ptr<PlacementPolicy> policy_;
-  std::map<std::string, MsuInfo> msus_;
-  std::map<SessionId, SessionInfo> sessions_;
+  ReplicatedState state_;
+  // Connection bindings, primary only: set when a peer dials in, so they are
+  // never part of the replicated state.
+  std::map<std::string, TcpConn*> msu_conns_;
+  std::map<SessionId, TcpConn*> session_conns_;
   std::map<TcpConn*, SessionId> conn_sessions_;
-  std::map<StreamId, ActiveStream> active_streams_;
-  std::map<GroupId, std::vector<StreamId>> groups_;
-  // Snapshot of the request that started each live group, kept so a failed
-  // MSU's groups can be re-placed; erased when the group ends normally.
-  std::map<GroupId, PendingRequest> group_requests_;
-  std::deque<PendingRequest> pending_;
-  // ---- sharing state (empty unless params_.sharing.enabled) ----
-  std::map<StreamId, SharedGroup> shared_groups_;
-  std::map<std::string, std::vector<PendingRequest>> share_batches_;  // title -> open batch
-  std::map<std::string, double> popularity_;                          // title -> EWMA
-  std::map<std::string, SimTime> popularity_bumped_;                  // title -> last bump
-  // Requests being launched whose outcome has not been logged yet: retries,
-  // flushed shared-batch waiters, split members' re-admissions and shed
-  // requests trying a cache attach. Re-queued on takeover (zero-amnesia for
-  // a crash mid-launch).
-  std::vector<PendingRequest> repl_in_flight_;
-  // ---- rebalancing state (empty unless params_.rebalance.enabled) ----
-  std::map<int64_t, ReplOp> repl_ops_;  // in-flight background copies
+  // Id mints stay outside the state: they travel in the append header (or,
+  // for copies, in Apply), and a launch in flight mints before it logs.
+  SessionId next_session_ = 1;
+  StreamId next_stream_ = 1;
+  GroupId next_group_ = 1;
   int64_t next_repl_op_ = 1;
+  // Title popularity EWMA: soft state, rebuilt from new arrivals after a
+  // takeover, so it is not replicated.
+  struct Popularity {
+    Popularity() = default;
+
+    double ewma = 0.0;
+    SimTime bumped;  // when `ewma` was last bumped
+  };
+  std::map<std::string, Popularity> popularity_;
   bool rebalance_loop_running_ = false;
   // ---- traffic-control state (DESIGN §5.9) ----
   std::function<bool()> overload_probe_;
@@ -446,15 +471,13 @@ class Coordinator {
   EventToken expiry_token_;         // one-shot queue-deadline sweep
   SimTime expiry_armed_at_;         // when it fires (zero: not armed)
   int64_t requests_expired_count_ = 0;
-  SessionId next_session_ = 1;
-  StreamId next_stream_ = 1;
-  GroupId next_group_ = 1;
   int64_t requests_handled_ = 0;
   int64_t requests_lost_count_ = 0;
   bool retry_scheduled_ = false;
   bool crashed_ = false;
 
-  // ---- HA state (meaningful only when params_.ha.enabled) ----
+  // ---- HA role and oplog bookkeeping: each coordinator's own, never
+  // replicated (meaningful only when params_.ha.enabled) ----
   HaRole role_ = HaRole::kPrimary;
   int64_t epoch_ = 1;
   bool joined_ = false;        // standby: applied a snapshot from the primary

@@ -103,6 +103,9 @@ Task Coordinator::ReplicationLoop() {
       req.first_seq = 0;
       req.records = Snapshot();
       pending_records_.clear();
+      // Records logged while the snapshot is in flight are not in it: they
+      // queue as the delta that follows it. A failed install asks again.
+      need_snapshot_ = false;
     } else {
       req.first_seq = oplog_acked_ + 1;
       req.records = std::move(pending_records_);
@@ -153,7 +156,6 @@ Task Coordinator::ReplicationLoop() {
     last_ack_ = machine_->sim().Now();
     if (snapshot) {
       peer_joined_ = true;
-      need_snapshot_ = false;
       trace_.Instant(trace_track_, metrics_prefix_, "standby-joined",
                      std::to_string(batch_size) + " snapshot records");
     }
@@ -272,10 +274,9 @@ void Coordinator::Replicate(ReplRecord record, ResourceLedger::Txn* txn) {
   if (!params_.ha.enabled || crashed_) {
     return;
   }
-  if (!peer_joined_) {
+  if (!peer_joined_ && need_snapshot_) {
     // No standby holds our snapshot; the next join's snapshot covers this
     // mutation, so buffering the delta would only duplicate it.
-    need_snapshot_ = true;
     return;
   }
   pending_records_.push_back(std::move(record));
@@ -293,7 +294,7 @@ void Coordinator::Apply(const ReplRecord& record, ResourceLedger::Txn* txn) {
   // standby, or one end of a copy.
   const auto hold = [&](ResourceLedger::HoldId id, const std::string& msu,
                         ResourceLedger::ReserveItem item) {
-    auto reservation = ledger_.Reserve(msu, {std::move(item)});
+    auto reservation = state_.ledger.Reserve(msu, {std::move(item)});
     if (reservation.ok()) {
       reservation->CommitNext(id);
     }
@@ -304,40 +305,33 @@ void Coordinator::Apply(const ReplRecord& record, ResourceLedger::Txn* txn) {
         session.id = r.session;
         session.customer = r.customer;
         session.admin = r.admin;
-        sessions_[r.session] = std::move(session);
+        state_.sessions[r.session] = std::move(session);
       },
-      [&](const ReplSessionClosed& r) { sessions_.erase(r.session); },
+      [&](const ReplSessionClosed& r) { state_.sessions.erase(r.session); },
       [&](const ReplPortRegistered& r) {
-        auto it = sessions_.find(r.session);
-        if (it != sessions_.end()) {
+        auto it = state_.sessions.find(r.session);
+        if (it != state_.sessions.end()) {
           it->second.ports[r.port.name] = r.port;
         }
       },
       [&](const ReplPortUnregistered& r) {
-        auto it = sessions_.find(r.session);
-        if (it != sessions_.end()) {
+        auto it = state_.sessions.find(r.session);
+        if (it != state_.sessions.end()) {
           it->second.ports.erase(r.port_name);
         }
       },
       [&](const ReplMsuUp& r) {
         if (r.reattach) {
-          ledger_.ReattachMsu(r.node, r.disk_count, r.free_space, r.nic_budget, r.cache_memory);
+          state_.ledger.ReattachMsu(r.node, r.disk_count, r.free_space, r.nic_budget, r.cache_memory);
         } else {
-          ledger_.RegisterMsu(r.node, r.disk_count, r.free_space, r.nic_budget, r.cache_memory);
+          state_.ledger.RegisterMsu(r.node, r.disk_count, r.free_space, r.nic_budget, r.cache_memory);
         }
-        MsuInfo& msu = msus_[r.node];
-        msu.node = r.node;
-        msu.conn = nullptr;  // the primary binds the MSU's connection after applying
       },
       [&](const ReplMsuDown& r) {
-        auto it = msus_.find(r.node);
-        if (it != msus_.end()) {
-          it->second.conn = nullptr;
-        }
-        ledger_.MarkDown(r.node);
+        state_.ledger.MarkDown(r.node);
         // Shared delivery groups die with the MSU. Stream teardown follows as
         // explicit ReplStreamEnded/ReplGroupEnded records.
-        std::erase_if(shared_groups_,
+        std::erase_if(state_.shared_groups,
                       [&](const auto& entry) { return entry.second.msu == r.node; });
       },
       [&](const ReplStreamStarted& r) {
@@ -346,46 +340,46 @@ void Coordinator::Apply(const ReplRecord& record, ResourceLedger::Txn* txn) {
         } else {
           hold(r.stream, r.msu, ResourceLedger::ReserveItem{r.disk, r.rate, r.space, r.cache});
         }
-        active_streams_[r.stream] = r;
-        groups_[r.group].push_back(r.stream);
+        state_.active_streams[r.stream] = r;
+        state_.groups[r.group].push_back(r.stream);
       },
       [&](const ReplGroupStarted& r) {
-        group_requests_[r.group] = r.request;
+        state_.group_requests[r.group] = r.request;
         DropInFlight(r.group);  // the retry the pop announced has landed
       },
       [&](const ReplStreamEnded& r) {
-        shared_groups_.erase(r.stream);  // no-op unless a shared delivery ended
-        auto it = active_streams_.find(r.stream);
-        if (it == active_streams_.end()) {
+        state_.shared_groups.erase(r.stream);  // no-op unless a shared delivery ended
+        auto it = state_.active_streams.find(r.stream);
+        if (it == state_.active_streams.end()) {
           return;
         }
         const GroupId group = it->second.group;
-        active_streams_.erase(it);
-        (void)ledger_.Release(r.stream, r.space_used);
-        auto group_it = groups_.find(group);
-        if (group_it != groups_.end()) {
+        state_.active_streams.erase(it);
+        (void)state_.ledger.Release(r.stream, r.space_used);
+        auto group_it = state_.groups.find(group);
+        if (group_it != state_.groups.end()) {
           // The group itself ends with an explicit ReplGroupEnded.
           std::erase(group_it->second, r.stream);
         }
       },
       [&](const ReplGroupEnded& r) {
-        groups_.erase(r.group);
-        group_requests_.erase(r.group);
+        state_.groups.erase(r.group);
+        state_.group_requests.erase(r.group);
       },
       [&](const ReplSharedGroupFormed& r) {
-        shared_groups_[r.delivery_stream] = r;
+        state_.shared_groups[r.delivery_stream] = r;
       },
       [&](const SharedMemberSplit& r) {
-        if (active_streams_.erase(r.member_stream) == 0) {
+        if (state_.active_streams.erase(r.member_stream) == 0) {
           return;  // failover raced the split (or a repeat): nothing left to end
         }
-        auto shared = shared_groups_.find(r.delivery_stream);
-        if (shared != shared_groups_.end() && shared->second.member_count > 0) {
+        auto shared = state_.shared_groups.find(r.delivery_stream);
+        if (shared != state_.shared_groups.end() && shared->second.member_count > 0) {
           --shared->second.member_count;
         }
-        (void)ledger_.Release(r.member_stream);
-        auto request = group_requests_.find(r.group);
-        if (request != group_requests_.end()) {
+        (void)state_.ledger.Release(r.member_stream);
+        auto request = state_.group_requests.find(r.group);
+        if (request != state_.group_requests.end()) {
           // The member's solo re-admission parks like a retry until its
           // outcome is logged: pauses start paused at the split offset, seeks
           // at the seek target, on the MSU whose page cache holds the title.
@@ -394,30 +388,30 @@ void Coordinator::Apply(const ReplRecord& record, ResourceLedger::Txn* txn) {
               1, r.op == VcrCommand::Op::kSeek ? r.seek_to : r.media_offset);
           resume.start_paused = (r.op == VcrCommand::Op::kPause);
           resume.prefer_msu = r.msu_node;
-          repl_in_flight_.push_back(std::move(resume));
+          state_.repl_in_flight.push_back(std::move(resume));
         }
-        groups_.erase(r.group);
-        group_requests_.erase(r.group);
+        state_.groups.erase(r.group);
+        state_.group_requests.erase(r.group);
       },
       [&](const ReplBatchJoined& r) {
         DropInFlight(r.request.group);  // a launch that found its MSU unreachable
-        share_batches_[r.request.content].push_back(r.request);
+        state_.share_batches[r.request.content].push_back(r.request);
       },
       [&](const ReplBatchFlushed& r) {
         // The waiters park like retries until their shared launch's outcome
         // is logged: a ReplGroupStarted each, or a push or pop per waiter.
-        auto batch = share_batches_.find(r.content);
-        if (batch == share_batches_.end()) {
+        auto batch = state_.share_batches.find(r.content);
+        if (batch == state_.share_batches.end()) {
           return;
         }
         for (PendingRequest& waiter : batch->second) {
-          repl_in_flight_.push_back(std::move(waiter));
+          state_.repl_in_flight.push_back(std::move(waiter));
         }
-        share_batches_.erase(batch);
+        state_.share_batches.erase(batch);
       },
       [&](const ReplPendingPushed& r) {
         DropInFlight(r.request.group);  // an exhausted retry went back in line
-        pending_.push_back(r.request);
+        state_.pending.push_back(r.request);
       },
       [&](const ReplPendingPopped& r) {
         // A retry pop does not forget the request yet: the primary may die
@@ -425,12 +419,12 @@ void Coordinator::Apply(const ReplRecord& record, ResourceLedger::Txn* txn) {
         // ReplGroupStarted / ReplPendingPushed / final pop resolves it; takeover
         // re-queues whatever is still parked, so a crash mid-retry never loses a
         // request the client was told is queued. A pop for good drops it.
-        for (auto it = pending_.begin(); it != pending_.end(); ++it) {
+        for (auto it = state_.pending.begin(); it != state_.pending.end(); ++it) {
           if (it->group == r.group) {
             if (r.retrying) {
-              repl_in_flight_.push_back(std::move(*it));
+              state_.repl_in_flight.push_back(std::move(*it));
             }
-            pending_.erase(it);
+            state_.pending.erase(it);
             break;
           }
         }
@@ -439,13 +433,13 @@ void Coordinator::Apply(const ReplRecord& record, ResourceLedger::Txn* txn) {
         }
       },
       [&](const ReplPendingReordered&) {
-        std::stable_sort(pending_.begin(), pending_.end(),
+        std::stable_sort(state_.pending.begin(), state_.pending.end(),
                          [](const PendingRequest& a, const PendingRequest& b) {
                            return a.admission_class < b.admission_class;
                          });
       },
       [&](const ReplReplicationStarted& r) {
-        repl_ops_[r.op] = r;
+        state_.repl_ops[r.op] = r;
         if (r.op >= next_repl_op_) {
           // Post-takeover mints must not collide with ops the MSUs still track.
           next_repl_op_ = r.op + 1;
@@ -457,21 +451,21 @@ void Coordinator::Apply(const ReplRecord& record, ResourceLedger::Txn* txn) {
              ResourceLedger::ReserveItem{r.target_disk, r.rate, r.space});
       },
       [&](const ReplReplicationEnded& r) {
-        auto it = repl_ops_.find(r.op);
-        if (it == repl_ops_.end()) {
+        auto it = state_.repl_ops.find(r.op);
+        if (it == state_.repl_ops.end()) {
           return;
         }
         // An installed replica keeps the target's space: it is written now.
         using CopyEnd = ResourceLedger::CopyEnd;
-        (void)ledger_.Release(ResourceLedger::CopyHold(r.op, CopyEnd::kSource));
-        (void)ledger_.Release(ResourceLedger::CopyHold(r.op, CopyEnd::kTarget),
+        (void)state_.ledger.Release(ResourceLedger::CopyHold(r.op, CopyEnd::kSource));
+        (void)state_.ledger.Release(ResourceLedger::CopyHold(r.op, CopyEnd::kTarget),
                               r.installed ? it->second.space : Bytes());
-        repl_ops_.erase(it);
+        state_.repl_ops.erase(it);
       },
       [&](const ReplProgress& r) {
         for (const ReplProgress::Entry& entry : r.entries) {
-          auto it = active_streams_.find(entry.stream);
-          if (it != active_streams_.end()) {
+          auto it = state_.active_streams.find(entry.stream);
+          if (it != state_.active_streams.end()) {
             it->second.offset = entry.offset;
           }
         }
@@ -483,15 +477,15 @@ void Coordinator::Apply(const ReplRecord& record, ResourceLedger::Txn* txn) {
 std::vector<ReplRecord> Coordinator::Snapshot() const {
   std::vector<ReplRecord> records;
   // MSU accounts first: replayed stream reservations need them in place.
-  for (const auto& [name, account] : ledger_.msus()) {
+  for (const auto& [name, account] : state_.ledger.msus()) {
     ReplMsuUp up;
     up.node = name;
     up.disk_count = account.disk_count;
     // Add back the space held by current-epoch holds: the standby's replay of
     // ReplStreamStarted and ReplReplicationStarted re-debits it through Reserve.
     up.free_space = account.free_space;
-    ledger_.ForEachHold([&](ResourceLedger::HoldId, const ResourceLedger::Hold& hold) {
-      if (hold.msu == name && ledger_.IsCurrent(hold)) {
+    state_.ledger.ForEachHold([&](ResourceLedger::HoldId, const ResourceLedger::Hold& hold) {
+      if (hold.msu == name && state_.ledger.IsCurrent(hold)) {
         up.free_space += hold.item.space;
       }
     });
@@ -502,7 +496,7 @@ std::vector<ReplRecord> Coordinator::Snapshot() const {
       records.push_back(ReplRecord{ReplMsuDown(name)});
     }
   }
-  for (const auto& [id, session] : sessions_) {
+  for (const auto& [id, session] : state_.sessions) {
     ReplSessionOpened opened;
     opened.session = id;
     opened.customer = session.customer;
@@ -515,46 +509,38 @@ std::vector<ReplRecord> Coordinator::Snapshot() const {
       records.push_back(ReplRecord{std::move(registered)});
     }
   }
-  for (const auto& [id, active] : active_streams_) {
+  for (const auto& [id, active] : state_.active_streams) {
     records.push_back(ReplRecord{active});
   }
-  for (const auto& [group, request] : group_requests_) {
+  for (const auto& [group, request] : state_.group_requests) {
     records.push_back(ReplRecord{ReplGroupStarted(group, request)});
   }
-  for (const auto& [id, shared] : shared_groups_) {
+  for (const auto& [id, shared] : state_.shared_groups) {
     records.push_back(ReplRecord{shared});
   }
-  for (const auto& [title, waiters] : share_batches_) {
+  for (const auto& [title, waiters] : state_.share_batches) {
     for (const PendingRequest& waiter : waiters) {
       records.push_back(ReplRecord{ReplBatchJoined(waiter)});
     }
   }
-  for (const PendingRequest& request : pending_) {
+  for (const PendingRequest& request : state_.pending) {
     records.push_back(ReplRecord{ReplPendingPushed(request)});
   }
-  for (const PendingRequest& request : repl_in_flight_) {
+  for (const PendingRequest& request : state_.repl_in_flight) {
     records.push_back(ReplRecord{ReplPendingPushed(request)});
     records.push_back(ReplRecord{ReplPendingPopped(request.group, true)});
   }
-  for (const auto& [op_id, op] : repl_ops_) {
+  for (const auto& [op_id, op] : state_.repl_ops) {
     records.push_back(ReplRecord{op});
   }
   return records;
 }
 
 void Coordinator::ResetVolatileState() {
-  msus_.clear();
-  sessions_.clear();
+  state_ = ReplicatedState();
+  msu_conns_.clear();
+  session_conns_.clear();
   conn_sessions_.clear();
-  active_streams_.clear();
-  groups_.clear();
-  group_requests_.clear();
-  pending_.clear();
-  repl_in_flight_.clear();
-  shared_groups_.clear();
-  share_batches_.clear();
-  repl_ops_.clear();
-  ledger_ = ResourceLedger();
 }
 
 void Coordinator::StepDown() {
@@ -566,17 +552,11 @@ void Coordinator::StepDown() {
   role_ = HaRole::kStandby;
   trace_.Instant(trace_track_, metrics_prefix_, "stepdown", "epoch " + std::to_string(epoch_));
   std::vector<TcpConn*> conns;
-  for (auto& [name, msu] : msus_) {
-    if (msu.conn != nullptr) {
-      conns.push_back(msu.conn);
-      msu.conn = nullptr;
-    }
+  for (const auto& [name, conn] : msu_conns_) {
+    conns.push_back(conn);
   }
-  for (auto& [id, session] : sessions_) {
-    if (session.conn != nullptr) {
-      conns.push_back(session.conn);
-      session.conn = nullptr;
-    }
+  for (const auto& [id, conn] : session_conns_) {
+    conns.push_back(conn);
   }
   if (repl_conn_ != nullptr) {
     conns.push_back(repl_conn_);
@@ -586,7 +566,6 @@ void Coordinator::StepDown() {
     conns.push_back(repl_in_conn_);
     repl_in_conn_ = nullptr;
   }
-  conn_sessions_.clear();
   for (TcpConn* conn : conns) {
     conn->Close();  // MSUs and clients redial and find the new primary
   }
@@ -628,16 +607,15 @@ void Coordinator::TakeOver(int64_t new_epoch) {
   ReplicationLoop();
   // Reconciliation sweep: MSUs that do not redial us within the grace window
   // are dead; their groups fail over to surviving replicas.
-  for (const auto& [name, msu] : msus_) {
+  for (const auto& [name, account] : state_.ledger.msus()) {
     machine_->sim().ScheduleAfter(kMsuRejoinGrace, [this, node = name] {
       if (crashed_ || role_ != HaRole::kPrimary) {
         return;
       }
-      auto it = msus_.find(node);
-      if (it != msus_.end() && it->second.conn == nullptr && ledger_.IsUp(node)) {
+      if (MsuConn(node) == nullptr && state_.ledger.IsUp(node)) {
         CALLIOPE_LOG(kWarning, "coord")
             << node_->name() << ": MSU " << node << " never rejoined after takeover";
-        MarkMsuDown(it->second);
+        MarkMsuDown(node);
         RetryPendingQueue();  // requests that waited for it now place elsewhere
       }
     });
@@ -646,7 +624,7 @@ void Coordinator::TakeOver(int64_t new_epoch) {
   // waiters, split members — go back in line: better a duplicate failure
   // notification than a request the client believes is admitted silently
   // evaporating.
-  const std::vector<PendingRequest> in_flight = repl_in_flight_;
+  const std::vector<PendingRequest> in_flight = state_.repl_in_flight;
   for (const PendingRequest& request : in_flight) {
     Replicate(ReplRecord{ReplPendingPushed(request)});
   }
@@ -656,13 +634,13 @@ void Coordinator::TakeOver(int64_t new_epoch) {
   // (A normal quit logs StreamEnded + GroupEnded back-to-back in one batch,
   // so a member-less group here really is an interrupted failover.)
   std::vector<PendingRequest> orphaned;
-  for (const auto& [group, request] : group_requests_) {
-    auto members = groups_.find(group);
-    if (members != groups_.end() && !members->second.empty()) {
+  for (const auto& [group, request] : state_.group_requests) {
+    auto members = state_.groups.find(group);
+    if (members != state_.groups.end() && !members->second.empty()) {
       continue;
     }
     bool queued = false;
-    for (const PendingRequest& waiting : pending_) {
+    for (const PendingRequest& waiting : state_.pending) {
       if (waiting.group == group) {
         queued = true;
         break;
@@ -681,7 +659,7 @@ void Coordinator::TakeOver(int64_t new_epoch) {
     FailoverGroup(std::move(request));
   }
   // Inherited open batches get a fresh window.
-  for (const auto& [title, waiters] : share_batches_) {
+  for (const auto& [title, waiters] : state_.share_batches) {
     FlushShareBatch(title);
   }
   // Queued requests survived the failover; try them against our ledger. The
@@ -692,9 +670,9 @@ void Coordinator::TakeOver(int64_t new_epoch) {
 }
 
 void Coordinator::DropInFlight(GroupId group) {
-  for (auto it = repl_in_flight_.begin(); it != repl_in_flight_.end(); ++it) {
+  for (auto it = state_.repl_in_flight.begin(); it != state_.repl_in_flight.end(); ++it) {
     if (it->group == group) {
-      repl_in_flight_.erase(it);
+      state_.repl_in_flight.erase(it);
       return;
     }
   }

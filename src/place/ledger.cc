@@ -314,6 +314,21 @@ Status ResourceLedger::CheckInvariants() const {
   return OkStatus();
 }
 
+bool ResourceLedger::operator==(const ResourceLedger& other) const {
+  const auto same_account = [](const auto& mine, const auto& theirs) {
+    MsuAccount account = mine.second;
+    account.epoch = theirs.second.epoch;
+    return mine.first == theirs.first && account == theirs.second;
+  };
+  const auto same_hold = [&](const auto& mine, const auto& theirs) {
+    return mine.first == theirs.first && mine.second.msu == theirs.second.msu &&
+           mine.second.item == theirs.second.item &&
+           IsCurrent(mine.second) == other.IsCurrent(theirs.second);
+  };
+  return std::ranges::equal(msus_, other.msus_, same_account) &&
+         std::ranges::equal(holds_, other.holds_, same_hold);
+}
+
 DataRate ResourceLedger::TotalReserved() const {
   DataRate total;
   for (const auto& [name, account] : msus_) {

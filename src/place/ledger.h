@@ -41,6 +41,8 @@ struct DiskAccount {
   // copies reading or writing it (DESIGN §5.8). Placement counts all of it.
   DataRate load;
   int streams = 0;  // committed holds on this disk, copy ends included
+
+  bool operator==(const DiskAccount&) const = default;
 };
 
 struct MsuAccount {
@@ -66,6 +68,8 @@ struct MsuAccount {
   int64_t epoch = 0;  // bumps on every (re-)registration
 
   DataRate TotalLoad() const;  // sum of the disks' load
+
+  bool operator==(const MsuAccount&) const = default;
 };
 
 class ResourceLedger {
@@ -94,6 +98,8 @@ class ResourceLedger {
     DataRate rate;
     Bytes space;
     Bytes cache;  // interval-cache bytes
+
+    bool operator==(const ReserveItem&) const = default;
   };
 
   // A reservation in flight. Move-only; uncommitted items are refunded when
@@ -159,6 +165,12 @@ class ResourceLedger {
   // Returns false (and changes nothing) if `id` holds nothing — calling twice
   // is safe, the second call is a no-op.
   bool Release(HoldId id, Bytes space_used = Bytes());
+
+  // Equal balances: every account field but its registration epoch, and
+  // every hold by id, MSU, item and whether it still charges its account.
+  // Raw epochs depend on the registration history (an HA standby that joined
+  // by snapshot registered each MSU once), so they are not compared.
+  bool operator==(const ResourceLedger& other) const;
 
   // ---- introspection for tests and benches ----
   DataRate TotalReserved() const;  // sum of every disk's reserved bandwidth

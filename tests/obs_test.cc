@@ -472,6 +472,9 @@ std::string RunTracedScenario(bool traced, std::set<std::string>* categories) {
   CoResult<Result<int64_t>> sent;
   Collect(c.SendRecording(record->group, 0, feed), &sent);
   sim.RunFor(SimTime::Seconds(2));
+  EXPECT_TRUE(RunUntil(sim, [&] { return calliope.coordinator().standby_in_sync(); },
+                       SimTime::Seconds(5)));
+  EXPECT_TRUE(ExpectStandbyMirrorsPrimary(calliope));
   auto trailer = PlayOn(sim, c, "m0", "v3");
   EXPECT_TRUE(trailer.ok()) << trailer.status().ToString();
   EXPECT_TRUE(VcrOp(sim, c, a->group, VcrCommand::Op::kPause).ok());

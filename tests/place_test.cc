@@ -344,6 +344,60 @@ TEST(LedgerTest, CheckInvariantsOnAMixedLedger) {
   check();
 }
 
+TEST(LedgerTest, EqualityIgnoresRegistrationEpoch) {
+  using Item = ResourceLedger::ReserveItem;
+  const DataRate rate = DataRate::MegabytesPerSec(0.5);
+  // msuA registered `registrations` times, then one stream held on `disk`.
+  const auto make = [&](int registrations, int disk) {
+    ResourceLedger ledger;
+    for (int i = 0; i < registrations; ++i) {
+      ledger.RegisterMsu("msuA", 2, Bytes(100 * kMiB), DataRate(), Bytes(16 * kMiB));
+    }
+    auto txn = ledger.Reserve("msuA", {Item(disk, rate, Bytes(10 * kMiB))});
+    EXPECT_TRUE(txn.ok());
+    txn->Commit(0, /*stream=*/5);
+    return ledger;
+  };
+  // Equal balances reached through different registration histories.
+  const ResourceLedger once = make(1, 0);
+  const ResourceLedger twice = make(2, 0);
+  ASSERT_NE(once.Find("msuA")->epoch, twice.Find("msuA")->epoch);
+  EXPECT_TRUE(once == twice);
+
+  // A differing disk load, free space or cache use compares unequal.
+  EXPECT_FALSE(once == make(1, 1));
+  for (const Item& extra : {Item(ResourceLedger::kNoDisk, DataRate(), Bytes(kMiB)),
+                            Item(ResourceLedger::kNoDisk, DataRate(), Bytes(), Bytes(kMiB))}) {
+    ResourceLedger other = make(1, 0);
+    {
+      auto txn = other.Reserve("msuA", {extra});
+      ASSERT_TRUE(txn.ok());
+      EXPECT_FALSE(once == other);
+    }
+    EXPECT_TRUE(once == other);  // the reservation rolled back
+  }
+
+  // A hold that charges nothing is stale on one side (committed after msuA
+  // re-registered) and current on the other: the balances agree, the
+  // ledgers do not.
+  const Item nothing(ResourceLedger::kNoDisk, DataRate(), Bytes());
+  ResourceLedger stale;
+  stale.RegisterMsu("msuA", 2, Bytes(100 * kMiB));
+  auto late = stale.Reserve("msuA", {nothing});
+  ASSERT_TRUE(late.ok());
+  stale.RegisterMsu("msuA", 2, Bytes(100 * kMiB));
+  late->Commit(0, /*stream=*/5);
+  ResourceLedger current;
+  current.RegisterMsu("msuA", 2, Bytes(100 * kMiB));
+  current.RegisterMsu("msuA", 2, Bytes(100 * kMiB));
+  auto txn = current.Reserve("msuA", {nothing});
+  ASSERT_TRUE(txn.ok());
+  txn->Commit(0, /*stream=*/5);
+  ASSERT_EQ(stale.outstanding_holds(), 1u);
+  EXPECT_TRUE(*stale.Find("msuA") == *current.Find("msuA"));
+  EXPECT_FALSE(stale == current);
+}
+
 TEST(RegistryTest, BuiltinsAndUnknownNames) {
   const PlacementPolicyRegistry registry = PlacementPolicyRegistry::WithBuiltins();
   EXPECT_EQ(registry.names(),
