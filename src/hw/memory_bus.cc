@@ -4,6 +4,16 @@
 
 namespace calliope {
 
+namespace {
+
+// A DMA chunk's call event: `bus` is the shared Resource, `busy` the chunk's
+// occupancy in nanoseconds. Its completion is not observable, so it has none.
+void SubmitDmaChunk(void* bus, int64_t busy) {
+  static_cast<Resource*>(bus)->Submit(SimTime(busy), nullptr);
+}
+
+}  // namespace
+
 MemoryBus::MemoryBus(Simulator& sim, const MemoryBusParams& params, Resource& shared)
     : sim_(&sim), params_(params), bus_(&shared) {}
 
@@ -17,7 +27,7 @@ void MemoryBus::SubmitDma(Bytes size, SimTime window, bool is_write, Bytes chunk
     const Bytes this_chunk = std::min(chunk, remaining);
     remaining -= this_chunk;
     const SimTime busy = OpTime(this_chunk, rate);
-    sim_->ScheduleAfter(spacing * i, [this, busy] { bus_->Submit(busy, [] {}); });
+    sim_->ScheduleCallAt(sim_->Now() + spacing * i, &SubmitDmaChunk, bus_, busy.nanos());
   }
 }
 

@@ -39,7 +39,8 @@ class MemoryBus {
   // Fire-and-forget DMA: issues size/dma_chunk bus operations evenly spread
   // over `window` (the device's transfer duration), charged at the read or
   // write rate. Completion of the bus traffic is not observable — the device
-  // model owns the transfer-complete event.
+  // model owns the transfer-complete event — so each chunk is a call event
+  // that submits with no completion callback and allocates nothing.
   //
   // `chunk_override` (0 = use params().dma_chunk) coarsens the trickle for
   // aggregate flow-fidelity transfers: the bus occupancy total is identical,

@@ -4,6 +4,8 @@
 // and server components expose operations as `Co<...>` which callers
 // `co_await`. Top-level processes are fire-and-forget `Task`s (task.h).
 //
+// Frames come from the per-size free lists of frame_pool.h.
+//
 // Ownership and teardown
 // ----------------------
 // At any suspension point, a chain of nested Co frames has exactly one
@@ -37,6 +39,8 @@
 #include <optional>
 #include <utility>
 
+#include "src/sim/frame_pool.h"
+
 namespace calliope {
 
 template <typename T>
@@ -62,7 +66,7 @@ struct ValueStore<void> {
 template <typename T = void>
 class [[nodiscard]] Co {
  public:
-  struct promise_type : co_internal::ValueStore<T> {
+  struct promise_type : co_internal::ValueStore<T>, PooledFrame {
     Co* owner = nullptr;
     std::coroutine_handle<> continuation;
 

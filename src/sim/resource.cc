@@ -8,6 +8,14 @@ namespace calliope {
 Resource::Resource(Simulator& sim, std::string name)
     : sim_(&sim), name_(std::move(name)), stats_epoch_(sim.Now()) {}
 
+Resource::~Resource() {
+  // The waiter in service goes first, then the queue in FIFO order. A
+  // pending completion call stays in the Simulator's queue, whose teardown
+  // drops it unrun.
+  in_service_ = Request();
+  queue_.Clear();
+}
+
 void Resource::Submit(SimTime service, UniqueFunction<void()> done) {
   Enqueue(Request{service, std::move(done), OwnedCoro()});
 }
@@ -18,7 +26,7 @@ void Resource::SubmitCoro(SimTime service, std::coroutine_handle<> handle) {
 
 void Resource::Enqueue(Request request) {
   assert(request.service >= SimTime());
-  queue_.push_back(std::move(request));
+  queue_.PushBack(std::move(request));
   if (!busy_) {
     BeginService();
   }
@@ -28,24 +36,24 @@ void Resource::BeginService() {
   assert(!busy_ && !queue_.empty());
   busy_ = true;
   current_started_ = sim_->Now();
-  Request request = std::move(queue_.front());
-  queue_.pop_front();
-  const SimTime service = request.service;
-  // The closure owns the request; if the simulation is torn down before the
-  // completion event fires, OwnedCoro destroys the waiter's frame chain.
-  sim_->ScheduleAfter(service, [this, request = std::move(request)]() mutable {
-    busy_ = false;
-    busy_accum_ += request.service;
-    ++completed_;
-    if (!queue_.empty()) {
-      BeginService();
-    }
-    if (request.coro) {
-      request.coro.Resume();
-    } else if (request.done) {
-      request.done();
-    }
-  });
+  in_service_ = queue_.PopFront();
+  sim_->ScheduleCallAt(sim_->Now() + in_service_.service, &Resource::Complete, this, 0);
+}
+
+void Resource::Complete(void* resource, int64_t /*unused*/) {
+  auto* self = static_cast<Resource*>(resource);
+  Request request = std::move(self->in_service_);
+  self->busy_ = false;
+  self->busy_accum_ += request.service;
+  ++self->completed_;
+  if (!self->queue_.empty()) {
+    self->BeginService();
+  }
+  if (request.coro) {
+    request.coro.Resume();
+  } else if (request.done) {
+    request.done();
+  }
 }
 
 SimTime Resource::BusyTime() const {

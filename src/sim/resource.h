@@ -4,6 +4,12 @@
 // wire. Work is submitted with a service duration; requests are served one at
 // a time in submission order. Both a callback form (Submit) and an awaitable
 // form (Use) are provided.
+//
+// The Resource owns every request it holds: the queued ones in a ring and
+// the one in service in a member, whose completion is a call event on the
+// Resource. A request costs no allocation once the ring has reached its
+// working depth, and destroying the Resource destroys its waiters' frames
+// (in service first, then the queue in FIFO order).
 #ifndef CALLIOPE_SRC_SIM_RESOURCE_H_
 #define CALLIOPE_SRC_SIM_RESOURCE_H_
 
@@ -13,6 +19,7 @@
 
 #include "src/sim/owned_coro.h"
 #include "src/sim/simulator.h"
+#include "src/util/ring_queue.h"
 #include "src/util/unique_function.h"
 
 namespace calliope {
@@ -20,11 +27,13 @@ namespace calliope {
 class Resource {
  public:
   Resource(Simulator& sim, std::string name);
+  ~Resource();
 
   Resource(const Resource&) = delete;
   Resource& operator=(const Resource&) = delete;
 
-  // Enqueues `service` time of work; `done` fires when it completes.
+  // Enqueues `service` time of work; `done` (may be null) fires when it
+  // completes.
   void Submit(SimTime service, UniqueFunction<void()> done);
 
   // Awaitable form of Submit.
@@ -56,17 +65,20 @@ class Resource {
  private:
   struct Request {
     SimTime service;
-    UniqueFunction<void()> done;  // exactly one of done / coro is set
+    UniqueFunction<void()> done;  // at most one of done / coro is set
     OwnedCoro coro;
   };
 
   void SubmitCoro(SimTime service, std::coroutine_handle<> handle);
   void Enqueue(Request request);
   void BeginService();
+  // The completion event's call: `resource` is the Resource.
+  static void Complete(void* resource, int64_t unused);
 
   Simulator* sim_;
   std::string name_;
-  std::deque<Request> queue_;
+  RingQueue<Request> queue_;
+  Request in_service_;  // meaningful while busy_
   bool busy_ = false;
   SimTime current_started_;
   SimTime busy_accum_;

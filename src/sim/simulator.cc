@@ -11,11 +11,13 @@ Simulator::~Simulator() {
   // Draining the queue in pop order is enough: destroying a frame or closure
   // runs destructors of its locals, which may own further conditions/frames,
   // recursively (and may even queue more events, which this loop drains too).
+  // A pending call owns nothing and is dropped without running.
   while (!queue_.empty()) {
     const Key key = PopKey();
     Body& body = bodies_[key.slot];
     const std::coroutine_handle<> coro = std::exchange(body.coro, nullptr);
     UniqueFunction<void()> fn = std::move(body.fn);
+    body.call = nullptr;
     Release(key.slot);
     if (coro) {
       coro.destroy();
@@ -23,7 +25,7 @@ Simulator::~Simulator() {
   }
 }
 
-uint32_t Simulator::Push(SimTime at, UniqueFunction<void()> fn, std::coroutine_handle<> coro) {
+uint32_t Simulator::Push(SimTime at) {
   assert(at >= now_ && "cannot schedule in the past");
   uint32_t slot = static_cast<uint32_t>(bodies_.size());
   if (free_slots_.empty()) {
@@ -32,9 +34,7 @@ uint32_t Simulator::Push(SimTime at, UniqueFunction<void()> fn, std::coroutine_h
     slot = free_slots_.back();
     free_slots_.pop_back();
   }
-  Body& body = bodies_[slot];
-  body.fn = std::move(fn);
-  body.coro = coro;
+  assert(!bodies_[slot].fn && !bodies_[slot].coro && bodies_[slot].call == nullptr);
   const Key key{at, next_seq_++, slot};
   // Sift up: move the hole toward the root past every later parent.
   size_t hole = queue_.size();
@@ -85,16 +85,24 @@ Simulator::Key Simulator::PopKey() {
 }
 
 void Simulator::ScheduleAt(SimTime at, UniqueFunction<void()> fn) {
-  Push(at, std::move(fn), nullptr);
+  bodies_[Push(at)].fn = std::move(fn);
 }
 
 EventToken Simulator::ScheduleCancelableAt(SimTime at, UniqueFunction<void()> fn) {
-  const uint32_t slot = Push(at, std::move(fn), nullptr);
+  const uint32_t slot = Push(at);
+  bodies_[slot].fn = std::move(fn);
   return EventToken(this, slot, bodies_[slot].gen);
 }
 
 void Simulator::ScheduleResumeAt(SimTime at, std::coroutine_handle<> handle) {
-  Push(at, nullptr, handle);
+  bodies_[Push(at)].coro = handle;
+}
+
+void Simulator::ScheduleCallAt(SimTime at, CallFn fn, void* ctx, int64_t arg) {
+  Body& body = bodies_[Push(at)];
+  body.call = fn;
+  body.ctx = ctx;
+  body.arg = arg;
 }
 
 void Simulator::Release(uint32_t slot) {
@@ -150,6 +158,14 @@ void Simulator::FireTop() {
   // schedule, reuse this slot and grow bodies_. The closure is destroyed
   // only after it has run.
   Body& body = bodies_[key.slot];
+  if (body.call != nullptr) {
+    const CallFn call = std::exchange(body.call, nullptr);
+    void* const ctx = body.ctx;
+    const int64_t arg = body.arg;
+    Release(key.slot);
+    call(ctx, arg);
+    return;
+  }
   if (body.coro) {
     const std::coroutine_handle<> coro = std::exchange(body.coro, nullptr);
     Release(key.slot);

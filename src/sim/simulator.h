@@ -8,10 +8,17 @@
 // sequence number breaks ties), so a run is a pure function of its inputs and
 // RNG seeds.
 //
+// An event's body is one of three kinds: a closure (may own resources,
+// cancellable), a coroutine resume, or a call — a function pointer, a context
+// pointer and one int64_t argument, which allocates nothing and cannot be
+// cancelled. Hardware models fire their per-packet events as calls.
+//
 // Coroutine ownership: a suspended process frame is owned by exactly one park
-// site — the event queue (timed waits) or a Condition's wait list. Destroying
-// the Simulator destroys any still-parked frames, so abandoned simulations do
-// not leak.
+// site — the event queue (timed waits), a Condition's wait list, or a
+// Resource (queued or in service; its completion is a call event that owns
+// nothing). Destroying the Simulator destroys the frames parked in its queue
+// and drops pending calls without running them; a Resource destroys its own
+// waiters. Abandoned simulations do not leak.
 #ifndef CALLIOPE_SRC_SIM_SIMULATOR_H_
 #define CALLIOPE_SRC_SIM_SIMULATOR_H_
 
@@ -70,6 +77,12 @@ class Simulator {
   // Schedules a coroutine resume (used by awaiters; not for general code).
   void ScheduleResumeAt(SimTime at, std::coroutine_handle<> handle);
 
+  // Schedules `fn(ctx, arg)` at `at`: no allocation and no cancellation.
+  // Teardown drops a pending call without running it, so `ctx` owns nothing
+  // through the queue.
+  using CallFn = void (*)(void* ctx, int64_t arg);
+  void ScheduleCallAt(SimTime at, CallFn fn, void* ctx, int64_t arg);
+
   // Runs until the event queue is empty. Returns the number of events fired.
   int64_t Run();
   // Runs events with time <= deadline; the clock ends at `deadline` even if
@@ -110,13 +123,17 @@ class Simulator {
     uint32_t slot;
   };
   static_assert(std::is_trivially_copyable_v<Key>);
-  // An event's closure or coroutine handle. It stays in its slot while the
-  // key sifts through the heap; the slot is recycled once the event leaves
-  // the queue (fired, purged or drained), and `gen` counts those recycles so
-  // a token naming an earlier occupant cancels nothing.
+  // An event's closure, coroutine handle or call. It stays in its slot while
+  // the key sifts through the heap; the slot is recycled once the event
+  // leaves the queue (fired, purged or drained), emptied of its work, and
+  // `gen` counts those recycles so a token naming an earlier occupant cancels
+  // nothing.
   struct Body {
-    UniqueFunction<void()> fn;  // exactly one of fn / coro is set while queued
+    UniqueFunction<void()> fn;  // exactly one of fn / coro / call is set while queued
     std::coroutine_handle<> coro{nullptr};
+    CallFn call = nullptr;
+    void* ctx = nullptr;
+    int64_t arg = 0;
     uint64_t gen = 0;
     bool cancelled = false;
   };
@@ -130,12 +147,13 @@ class Simulator {
   // the children a sift compares sit side by side in memory.
   static constexpr size_t kHeapArity = 4;
 
-  // Queues a body holding `fn` or `coro`; returns its slot.
-  uint32_t Push(SimTime at, UniqueFunction<void()> fn, std::coroutine_handle<> coro);
+  // Queues an event at `at`; returns the slot of its empty body, which the
+  // caller fills.
+  uint32_t Push(SimTime at);
   Key PopKey();
   // Pops the earliest event, advances the clock to it and runs it.
   void FireTop();
-  // Recycles a slot whose closure or handle has already been moved out.
+  // Recycles a slot whose closure, handle or call has already been moved out.
   void Release(uint32_t slot);
   void Cancel(uint32_t slot, uint64_t gen);
   // Drops cancelled events from the queue and re-heapifies. Invoked lazily

@@ -1,8 +1,9 @@
 // Fire-and-forget coroutine processes for the simulator.
 //
 // A `Task` coroutine starts eagerly and detaches: its frame destroys itself
-// when the body finishes. While suspended it is owned by its park site (event
-// queue or Condition), which destroys it if the simulation is torn down.
+// (back to the free lists of frame_pool.h) when the body finishes. While
+// suspended it is owned by its park site (event queue, Condition or
+// Resource), which destroys it if the simulation is torn down.
 //
 // Convention: processes that someone must wait for signal a Condition (or set
 // a flag) before returning; there is deliberately no join on Task itself.
@@ -12,11 +13,13 @@
 #include <coroutine>
 #include <exception>
 
+#include "src/sim/frame_pool.h"
+
 namespace calliope {
 
 class Task {
  public:
-  struct promise_type {
+  struct promise_type : PooledFrame {
     Task get_return_object() { return Task{}; }
     std::suspend_never initial_suspend() noexcept { return {}; }
     std::suspend_never final_suspend() noexcept { return {}; }

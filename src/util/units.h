@@ -117,11 +117,17 @@ class DataRate {
   }
   constexpr bool is_zero() const { return bits_per_sec_ == 0; }
 
-  // Time to move `size` at this rate. Uses __int128 to avoid overflow for
-  // large sizes (a 2-hour movie is ~1.35 GB, * 8e9 overflows int64).
+  // Time to move `size` at this rate, truncated to the nanosecond. Sizes up
+  // to kMaxNarrowTransfer (~1.15 GB) divide in int64_t; larger ones use
+  // __int128 (a 2-hour movie is ~1.35 GB, * 8e9 overflows int64). Both give
+  // the same truncated quotient; the narrow one avoids a __divti3 call.
+  static constexpr int64_t kMaxNarrowTransfer = INT64_MAX / 8000000000;
   constexpr SimTime TransferTime(Bytes size) const {
     if (bits_per_sec_ == 0) {
       return SimTime::Max();
+    }
+    if (size.count() >= 0 && size.count() <= kMaxNarrowTransfer) {
+      return SimTime(size.count() * 8000000000 / bits_per_sec_);
     }
     __int128 numerator = static_cast<__int128>(size.count()) * 8 * 1000000000;
     return SimTime(static_cast<int64_t>(numerator / bits_per_sec_));

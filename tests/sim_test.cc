@@ -1,17 +1,42 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <functional>
 #include <map>
 #include <memory>
+#include <new>
 #include <utility>
 #include <vector>
 
+#include "src/hw/memory_bus.h"
+#include "src/hw/params.h"
 #include "src/sim/co.h"
 #include "src/sim/condition.h"
 #include "src/sim/resource.h"
 #include "src/sim/simulator.h"
 #include "src/sim/task.h"
 #include "src/util/rng.h"
+
+// This binary counts its global operator new calls, so a test can assert
+// that a steady-state path allocates nothing (AllocationTest below). The
+// replacements stay out of line: inlined, GCC pairs the malloc inside one
+// with the free inside the other and warns of a mismatch.
+namespace {
+std::atomic<int64_t> operator_new_calls{0};
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  operator_new_calls.fetch_add(1, std::memory_order_relaxed);
+  if (void* block = std::malloc(size == 0 ? 1 : size)) {
+    return block;
+  }
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* block) noexcept { std::free(block); }
+[[gnu::noinline]] void operator delete(void* block, std::size_t /*size*/) noexcept {
+  std::free(block);
+}
 
 namespace calliope {
 namespace {
@@ -235,6 +260,17 @@ class ReferenceQueue {
   int64_t pops_ = 0;
 };
 
+// A call event's function: `on_fire` is a std::function<void(int)>.
+void FireCall(void* on_fire, int64_t id) {
+  (*static_cast<std::function<void(int)>*>(on_fire))(static_cast<int>(id));
+}
+
+// Parks until `at` as a coroutine resume, then fires `id`.
+Task ResumeAndFire(Simulator& sim, SimTime at, std::function<void(int)>* on_fire, int id) {
+  co_await sim.Delay(at - sim.Now());
+  (*on_fire)(id);
+}
+
 TEST(SimulatorTest, SeededScheduleCancelRescheduleFiresInReferenceOrder) {
   Simulator sim;
   ReferenceQueue reference;
@@ -246,18 +282,37 @@ TEST(SimulatorTest, SeededScheduleCancelRescheduleFiresInReferenceOrder) {
   // Every seventh event schedules a child at its own instant from inside its
   // callback, so slots are recycled while a callee runs. The reference queues
   // the child (and names it) just before the simulator pops its parent.
+  // Half the events are cancellable closures; the rest are plain closures,
+  // call events and coroutine resumes, which share instants with them.
   int child_id = -1;
-  std::function<void(SimTime, int)> schedule_in_sim = [&](SimTime at, int id) {
-    auto fn = [&, id] {
-      fired.push_back(id);
-      if (id % 7 == 0) {
-        schedule_in_sim(sim.Now(), child_id);
-      }
-    };
-    if (rng.NextBernoulli(0.5)) {
-      tokens.emplace_back(sim.ScheduleCancelableAt(at, fn), id);
-    } else {
-      sim.ScheduleAt(at, fn);
+  int calls = 0;
+  int resumes = 0;
+  std::function<void(SimTime, int)> schedule_in_sim;
+  std::function<void(int)> on_fire = [&](int id) {
+    fired.push_back(id);
+    if (id % 7 == 0) {
+      schedule_in_sim(sim.Now(), child_id);
+    }
+  };
+  schedule_in_sim = [&](SimTime at, int id) {
+    auto fn = [&on_fire, id] { on_fire(id); };
+    switch (rng.NextBelow(6)) {
+      case 0:
+      case 1:
+      case 2:
+        tokens.emplace_back(sim.ScheduleCancelableAt(at, fn), id);
+        break;
+      case 3:
+        sim.ScheduleAt(at, fn);
+        break;
+      case 4:
+        sim.ScheduleCallAt(at, &FireCall, &on_fire, id);
+        ++calls;
+        break;
+      default:
+        ResumeAndFire(sim, at, &on_fire, id);
+        ++resumes;
+        break;
     }
   };
   const auto schedule = [&](SimTime at) { schedule_in_sim(at, reference.Schedule(at)); };
@@ -313,6 +368,8 @@ TEST(SimulatorTest, SeededScheduleCancelRescheduleFiresInReferenceOrder) {
   EXPECT_TRUE(sim.Empty());
   EXPECT_EQ(fired, expected);
   EXPECT_GT(fired.size(), 2000u);
+  EXPECT_GT(calls, 300);
+  EXPECT_GT(resumes, 300);
   // Cancelled pops count as fired events; purged ones never pop.
   EXPECT_EQ(sim.events_fired(), reference.pops());
   EXPECT_EQ(sim.cancelled_pending(), 0);
@@ -546,6 +603,140 @@ TEST(CoTest, AbandonedResourceWaitersAreReclaimed) {
     sim.RunUntil(SimTime::Seconds(1));
   }
   EXPECT_TRUE(done.empty());
+}
+
+Task UseWithLog(Resource& res, SimTime service, std::vector<int>* log, int id, int* finished) {
+  DestroyLog guard(log, id);
+  co_await res.Use(service);
+  ++*finished;
+}
+
+TEST(ResourceTest, TeardownDestroysInServiceAndQueuedWaiters) {
+  // Resource first: it destroys the waiter in service, then the queue in
+  // FIFO order; the Simulator then drops the pending completion unrun.
+  std::vector<int> destroyed;
+  int finished = 0;
+  int called = 0;
+  {
+    Simulator sim;
+    {
+      Resource res(sim, "r");
+      UseWithLog(res, SimTime::Millis(10), &destroyed, 0, &finished);
+      UseWithLog(res, SimTime::Millis(10), &destroyed, 1, &finished);
+      res.Submit(SimTime::Millis(10), [&called] { ++called; });
+      UseWithLog(res, SimTime::Millis(10), &destroyed, 2, &finished);
+      sim.RunUntil(SimTime::Millis(5));
+      EXPECT_TRUE(res.busy());
+      EXPECT_EQ(res.queue_length(), 3u);
+      EXPECT_TRUE(destroyed.empty());
+    }
+    EXPECT_EQ(destroyed, (std::vector<int>{0, 1, 2}));
+    EXPECT_FALSE(sim.Empty());  // the completion call is still queued
+  }
+  EXPECT_EQ(destroyed, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(finished, 0);
+  EXPECT_EQ(called, 0);
+
+  // Simulator first: its teardown calls nothing and destroys no waiter; the
+  // Resource still owns both frames and destroys each once.
+  destroyed.clear();
+  auto sim = std::make_unique<Simulator>();
+  {
+    Resource res(*sim, "r");
+    UseWithLog(res, SimTime::Millis(10), &destroyed, 0, &finished);
+    UseWithLog(res, SimTime::Millis(10), &destroyed, 1, &finished);
+    sim->RunUntil(SimTime::Millis(5));
+    sim.reset();
+    EXPECT_TRUE(destroyed.empty());
+  }
+  EXPECT_EQ(destroyed, (std::vector<int>{0, 1}));
+  EXPECT_EQ(finished, 0);
+}
+
+TEST(ResourceTest, FifoHoldsAcrossRingWrapAndGrowth) {
+  Simulator sim;
+  Resource res(sim, "r");
+  std::vector<int> order;
+  std::vector<int64_t> done_at;
+  int next = 0;
+  const auto submit = [&] {
+    res.Submit(SimTime::Millis(1), [&, id = next++] {
+      order.push_back(id);
+      done_at.push_back(sim.Now().millis());
+    });
+  };
+  // Short bursts move the ring's head off zero and wrap it.
+  for (int burst = 0; burst < 7; ++burst) {
+    for (int i = 0; i < 3; ++i) {
+      submit();
+    }
+    sim.Run();
+  }
+  // Then far more queued at once than the ring's initial capacity (8), with
+  // coroutine waiters between the callbacks, so it grows while wrapped.
+  const int64_t start = sim.Now().millis();
+  std::vector<int64_t> coro_done;
+  for (int i = 0; i < 100; ++i) {
+    submit();
+    if (i % 10 == 0) {
+      UseResource(sim, res, SimTime::Millis(1), coro_done);
+    }
+  }
+  EXPECT_EQ(res.queue_length(), 109u);  // 110 requests, one in service
+  sim.Run();
+
+  std::vector<int> expected_order(next);
+  for (int i = 0; i < next; ++i) {
+    expected_order[i] = i;
+  }
+  EXPECT_EQ(order, expected_order);
+  // Each burst ends with an idle Resource; the big batch runs back to back,
+  // each tenth callback followed by one coroutine waiter.
+  std::vector<int64_t> expected_done;
+  std::vector<int64_t> expected_coro;
+  for (int burst = 0; burst < 7; ++burst) {
+    for (int i = 1; i <= 3; ++i) {
+      expected_done.push_back(burst * 3 + i);
+    }
+  }
+  int64_t t = start;
+  for (int i = 0; i < 100; ++i) {
+    expected_done.push_back(++t);
+    if (i % 10 == 0) {
+      expected_coro.push_back(++t);
+    }
+  }
+  EXPECT_EQ(done_at, expected_done);
+  EXPECT_EQ(coro_done, expected_coro);
+  EXPECT_EQ(res.completed(), 131);
+}
+
+Task UseOnce(Resource& res, SimTime service) { co_await res.Use(service); }
+
+// The per-packet hardware path: once the Simulator's slab, the Resource's
+// ring and the coroutine frame pool have warmed up, a coroutine Use, a
+// callback-free Submit and a DMA chunk allocate nothing.
+TEST(AllocationTest, SteadyStateHardwareEventsAllocateNothing) {
+  Simulator sim;
+  Resource shared(sim, "cpu+bus");
+  const MemoryBusParams params;
+  MemoryBus bus(sim, params, shared);
+  const auto round = [&] {
+    UseOnce(shared, SimTime::Micros(10));
+    shared.Submit(SimTime::Micros(5), nullptr);
+    bus.SubmitDma(params.dma_chunk, SimTime::Micros(20), /*is_write=*/false);
+    sim.Run();
+  };
+  round();
+  const int64_t fired_before = sim.events_fired();
+  const int64_t before = operator_new_calls.load();
+  for (int i = 0; i < 1000; ++i) {
+    round();
+  }
+  EXPECT_EQ(operator_new_calls.load() - before, 0);
+  // Each round fires three completions and one DMA chunk.
+  EXPECT_EQ(sim.events_fired() - fired_before, 4000);
+  EXPECT_EQ(shared.completed(), 3003);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -78,6 +79,35 @@ TEST(UnitsTest, DataRateTransferMath) {
   // Large transfers must not overflow: a 2-hour movie.
   const SimTime t = mpeg.TransferTime(Bytes(1350000000));
   EXPECT_NEAR(t.seconds(), 7200.0, 1.0);
+}
+
+// TransferTime divides in int64_t up to kMaxNarrowTransfer bytes and in
+// __int128 above; on either side it must give the truncated __int128
+// quotient.
+TEST(UnitsTest, TransferTimeNarrowPathMatchesWide) {
+  const int64_t boundary = DataRate::kMaxNarrowTransfer;
+  EXPECT_EQ(boundary, 1152921504);
+  EXPECT_TRUE(static_cast<__int128>(boundary) * 8000000000 <= INT64_MAX);
+  EXPECT_TRUE(static_cast<__int128>(boundary + 1) * 8000000000 > INT64_MAX);
+  const int64_t sizes[] = {0,           1,        2,           1500,          4352,
+                           8192,        1 << 20,  boundary - 1, boundary,     boundary + 1,
+                           1350000000,  int64_t{1} << 40,       INT64_MAX / 16};
+  const int64_t rates[] = {1,          2,          3,           7,          1000,
+                           1500000,    100000000,  424000000,   7999999999, 8000000000,
+                           8000000001, INT64_MAX / 2, INT64_MAX};
+  int compared = 0;
+  for (const int64_t size : sizes) {
+    for (const int64_t rate : rates) {
+      const __int128 wide = static_cast<__int128>(size) * 8000000000 / rate;
+      if (wide > INT64_MAX) {
+        continue;  // not representable as a SimTime on either path
+      }
+      EXPECT_EQ(DataRate(rate).TransferTime(Bytes(size)).nanos(), static_cast<int64_t>(wide))
+          << size << " B at " << rate << " bit/s";
+      ++compared;
+    }
+  }
+  EXPECT_GT(compared, 120);
 }
 
 TEST(UnitsTest, ZeroRateNeverDivides) {
